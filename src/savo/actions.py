@@ -9,7 +9,7 @@ reproducible down to the tie-break.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,25 +24,28 @@ class ActionTable:
     """Immutable id -> representation lookup with optional category labels."""
 
     reps: np.ndarray  # (N, D)
-    ids: list[int] = field(default_factory=list)
+    ids: tuple[int, ...] = ()
     categories: np.ndarray | None = None  # (N,) ints
 
     def __post_init__(self):
-        self.reps = np.asarray(self.reps, dtype=np.float64)
+        self.reps = np.array(self.reps, dtype=np.float64)  # a private copy, frozen below
         if self.reps.ndim != 2 or self.reps.shape[0] < 1:
             raise ActionTableError("representation matrix must be (N >= 1, D)")
         if not np.all(np.isfinite(self.reps)):
             raise ActionTableError("representations must be finite")
-        if not self.ids:
-            self.ids = list(range(self.reps.shape[0]))
+        self.ids = tuple(self.ids) or tuple(range(self.reps.shape[0]))
         if len(self.ids) != self.reps.shape[0]:
             raise ActionTableError("id count must match representation rows")
-        if len(set(self.ids)) != len(self.ids):
+        self._row_of = {action_id: row for row, action_id in enumerate(self.ids)}
+        if len(self._row_of) != len(self.ids):
             raise ActionTableError("ids must be unique")
         uniq = np.unique(self.reps, axis=0)
         if uniq.shape[0] != self.reps.shape[0]:
             raise ActionTableError("duplicate representation rows make nearest() ambiguous")
         self.reps.setflags(write=False)
+        if self.categories is not None:
+            self.categories = np.array(self.categories)
+            self.categories.setflags(write=False)
 
     def __len__(self) -> int:
         return self.reps.shape[0]
@@ -52,7 +55,7 @@ class ActionTable:
         return self.reps.shape[1]
 
     def rep_of(self, action_id: int) -> np.ndarray:
-        return self.reps[self.ids.index(action_id)]
+        return self.reps[self._row_of[action_id]]
 
 
 def _sq_dists(a: np.ndarray, table: ActionTable) -> np.ndarray:

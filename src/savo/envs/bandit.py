@@ -55,6 +55,8 @@ class BanditLandscape:
 
     def value(self, actions: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+        if a.ndim != 2 or a.shape[1] != self.dim:
+            raise ValueError(f"actions must be rows of length {self.dim}, got shape {np.shape(actions)}")
         out = np.zeros(a.shape[0])
         for c, h, w in zip(self.centers, self.heights, self.widths):
             d2 = np.sum((a - c) ** 2, axis=1)
@@ -62,7 +64,7 @@ class BanditLandscape:
         for lo, hi, level in self.plateaus:
             inside = np.all((a >= lo) & (a <= hi), axis=1)
             out = np.where(inside, np.maximum(out, level), out)
-        return out if actions.ndim > 1 else out
+        return out
 
     def value_at(self, action) -> float:
         return float(self.value(np.atleast_2d(action))[0])

@@ -82,7 +82,7 @@ def mining_action_table(config: MiningConfig) -> ActionTable:
         rows.append([0.0, d / 3.0, 0.0, 0.0])
     for _, (mine_type, outcome) in enumerate(config.tool_map):
         out = 1.0 if outcome == BREAK else outcome / k
-        rows.append([1.0, 0.0, mine_type / (k - 1), out])
+        rows.append([1.0, 0.0, mine_type / max(k - 1, 1), out])
     cats = np.array([0] * 4 + [1] * config.n_tools)
     return ActionTable(reps=np.asarray(rows), categories=cats)
 

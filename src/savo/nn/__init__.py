@@ -1,6 +1,6 @@
 from .core import DenseLayer, Mlp, ShapeError, relu, relu_prime, xavier_uniform
-from .deepset import DeepSetSummarizer, SetSummary, deepset_summarize
-from .film import FilmGenerator, film_modulate
+from .deepset import DeepSetSummarizer, SetSummary
+from .film import FilmGenerator
 from .optim import AdamState, NonFiniteGradientError, adam_step, polyak_update
 from .checkpoint import load_arrays, save_arrays
 
@@ -14,8 +14,6 @@ __all__ = [
     "SetSummary",
     "ShapeError",
     "adam_step",
-    "deepset_summarize",
-    "film_modulate",
     "load_arrays",
     "polyak_update",
     "relu",

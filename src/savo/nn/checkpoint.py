@@ -25,22 +25,32 @@ def save_arrays(path, arrays: list[np.ndarray], adam: AdamState | None = None) -
 
 
 def load_arrays(path, arrays: list[np.ndarray], adam: AdamState | None = None) -> None:
-    """Load a checkpoint into existing arrays/state, in place."""
+    """Load a checkpoint into existing arrays/state, in place.
+
+    Every stored array is read once and every shape checked before anything
+    is copied, so a checkpoint that does not fit raises ``ShapeError`` and
+    leaves the arrays, moments and step unchanged.
+    """
     path = Path(path)
     with np.load(path) as data:
         if int(data["version"]) != FORMAT_VERSION:
             raise ShapeError(f"unsupported checkpoint version in {path}")
         if int(data["count"]) != len(arrays):
             raise ShapeError(f"checkpoint {path} holds {int(data['count'])} arrays, expected {len(arrays)}")
-        for i, a in enumerate(arrays):
-            stored = data[f"p{i}"]
-            if stored.shape != a.shape:
-                raise ShapeError(f"array {i} shape {stored.shape} != expected {a.shape}")
-            a[:] = stored
+        targets = {f"p{i}": a for i, a in enumerate(arrays)}
         if adam is not None:
             if "step" not in data:
                 raise ShapeError(f"checkpoint {path} has no optimizer state")
-            adam.step = int(data["step"])
+            if len(adam.m) != len(arrays):
+                raise ShapeError(f"optimizer state holds {len(adam.m)} moments, expected {len(arrays)}")
+            step = int(data["step"])
             for i in range(len(arrays)):
-                adam.m[i][:] = data[f"m{i}"]
-                adam.v[i][:] = data[f"v{i}"]
+                targets[f"m{i}"], targets[f"v{i}"] = adam.m[i], adam.v[i]
+        stored = {key: data[key] for key in targets}
+    for key, a in targets.items():
+        if stored[key].shape != a.shape:
+            raise ShapeError(f"stored {key} has shape {stored[key].shape}, expected {a.shape}")
+    for key, a in targets.items():
+        a[:] = stored[key]
+    if adam is not None:
+        adam.step = step

@@ -6,6 +6,10 @@ matching forward call. No autodiff: the architectures used by the agent
 (MLP, FiLM-modulated MLP, deep-set summarizer) each carry their own
 analytic backward, checked against central finite differences in the
 test suite.
+
+One body per module: Mlp, DeepSetSummarizer and FilmGenerator each compute
+their forward pass in one private method. Their public entry points differ
+only in whether that body records a tape, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -106,28 +110,26 @@ class Mlp:
             out.append(layer.bias)
         return out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _forward(self, x: np.ndarray, layer_tapes: list | None):
+        """The one forward body; returns the output and the tape for :meth:`backward`,
+        whose (layer input, pre-activation) list is ``layer_tapes`` if not None."""
         x, single = _as_batch(x)
         if x.shape[1] != self.in_dim:
             raise ShapeError(f"expected input dim {self.in_dim}, got {x.shape[1]}")
         h = x
         for layer in self.layers:
             z = h @ layer.weight + layer.bias
+            if layer_tapes is not None:
+                layer_tapes.append((h, z))
             h = _ACTS[layer.activation][0](z)
-        return h[0] if single else h
+        return (h[0] if single else h), (layer_tapes, single)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._forward(x, None)[0]
 
     def forward_tape(self, x: np.ndarray):
         """Forward pass recording (layer input, pre-activation) per layer."""
-        x, single = _as_batch(x)
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"expected input dim {self.in_dim}, got {x.shape[1]}")
-        tape = []
-        h = x
-        for layer in self.layers:
-            z = h @ layer.weight + layer.bias
-            tape.append((h, z))
-            h = _ACTS[layer.activation][0](z)
-        return (h[0] if single else h), (tape, single)
+        return self._forward(x, [])
 
     def backward(self, tape, dy: np.ndarray, with_params: bool = True):
         """Backpropagate an upstream gradient through the recorded pass.

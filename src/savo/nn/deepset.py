@@ -47,6 +47,16 @@ class DeepSetSummarizer:
     def arrays(self) -> list[np.ndarray]:
         return self.phi.arrays() + self.rho.arrays()
 
+    def _pool(self, elements: np.ndarray, phi_tapes: list | None, rho_tapes: list | None):
+        """The one forward body: phi per element, mean over each row's set,
+        rho. Records the phi and rho layers into the given lists, if any."""
+        b, m, p = elements.shape
+        if m == 0:
+            return np.zeros((b, self.summary_dim)), (b, m, None, None)
+        h, phi_tape = self.phi._forward(elements.reshape(b * m, p), phi_tapes)
+        out, rho_tape = self.rho._forward(h.reshape(b, m, -1).mean(axis=1), rho_tapes)
+        return out, (b, m, phi_tape, rho_tape)
+
     def summarize(self, elements) -> SetSummary:
         """Summarize one set of equal-length vectors.
 
@@ -58,30 +68,17 @@ class DeepSetSummarizer:
         mat = np.asarray(elements, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[1] != self.element_dim:
             raise ShapeError(f"elements must be vectors of length {self.element_dim}")
-        order = np.lexsort(mat.T[::-1])
-        mat = mat[order]
-        pooled = self.phi.forward(mat).mean(axis=0)
-        return SetSummary(self.rho.forward(pooled), mat.shape[0])
+        mat = mat[np.lexsort(mat.T[::-1])]
+        return SetSummary(self._pool(mat[None], None, None)[0][0], mat.shape[0])
 
     # --- batched paths used inside the agent (element order is the stored
     # candidate order; only used with a fixed element count per row) ---
 
     def forward_batch(self, elements: np.ndarray) -> np.ndarray:
-        b, m, p = elements.shape
-        if m == 0:
-            return np.zeros((b, self.summary_dim))
-        h = self.phi.forward(elements.reshape(b * m, p))
-        pooled = h.reshape(b, m, -1).mean(axis=1)
-        return self.rho.forward(pooled)
+        return self._pool(elements, None, None)[0]
 
     def forward_batch_tape(self, elements: np.ndarray):
-        b, m, p = elements.shape
-        if m == 0:
-            return np.zeros((b, self.summary_dim)), (b, m, None, None)
-        h, phi_tape = self.phi.forward_tape(elements.reshape(b * m, p))
-        pooled = h.reshape(b, m, -1).mean(axis=1)
-        out, rho_tape = self.rho.forward_tape(pooled)
-        return out, (b, m, phi_tape, rho_tape)
+        return self._pool(elements, [], [])
 
     def backward_batch(self, tape, dout: np.ndarray):
         """Returns (d_elements, grads); grads match :meth:`arrays` order."""
@@ -92,7 +89,3 @@ class DeepSetSummarizer:
         dh = np.repeat(dpooled / m, m, axis=0)
         delems, phi_grads = self.phi.backward(phi_tape, dh)
         return delems.reshape(b, m, self.element_dim), phi_grads + rho_grads
-
-
-def deepset_summarize(elements, summarizer: DeepSetSummarizer) -> SetSummary:
-    return summarizer.summarize(elements)

@@ -33,18 +33,21 @@ class FilmGenerator:
     def arrays(self) -> list[np.ndarray]:
         return self.net.arrays()
 
+    def _modulation(self, cond: np.ndarray, layer_tapes: list | None):
+        """The one forward body: (gamma, beta, generator tape) for ``cond``."""
+        raw, net_tape = self.net._forward(cond, layer_tapes)
+        return 1.0 + raw[..., : self.width], raw[..., self.width :], net_tape
+
     def scale_shift(self, cond: np.ndarray):
-        raw = self.net.forward(cond)
-        gamma = 1.0 + raw[..., : self.width]
-        beta = raw[..., self.width :]
-        return gamma, beta
+        return self._modulation(cond, None)[:2]
 
     def modulate_tape(self, features: np.ndarray, cond: np.ndarray):
-        raw, net_tape = self.net.forward_tape(cond)
-        gamma = 1.0 + raw[..., : self.width]
-        beta = raw[..., self.width :]
-        out = gamma * features + beta
-        return out, (features, gamma, net_tape)
+        """``gamma * features + beta`` with (gamma, beta) generated from ``cond``."""
+        features = np.asarray(features, dtype=np.float64)
+        if features.shape[-1] != self.width:
+            raise ShapeError(f"features have width {features.shape[-1]}, generator modulates {self.width}")
+        gamma, beta, net_tape = self._modulation(cond, [])
+        return gamma * features + beta, (features, gamma, net_tape)
 
     def backward(self, tape, dout: np.ndarray, with_params: bool = True):
         """Returns (d_features, d_cond, grads)."""
@@ -53,14 +56,3 @@ class FilmGenerator:
         draw = np.concatenate([dout * features, dout], axis=-1)
         dcond, grads = self.net.backward(net_tape, draw, with_params=with_params)
         return dfeat, dcond, grads
-
-
-def film_modulate(features: np.ndarray, cond: np.ndarray, generator: FilmGenerator) -> np.ndarray:
-    """Apply ``scale * features + shift`` with (scale, shift) generated from ``cond``."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[-1] != generator.width:
-        raise ShapeError(
-            f"features have width {features.shape[-1]}, generator modulates {generator.width}"
-        )
-    gamma, beta = generator.scale_shift(cond)
-    return gamma * features + beta

@@ -85,6 +85,21 @@ def test_nearest_rows_matches_scalar_nearest():
         assert t.ids[int(row)] == nearest(q, t)
 
 
+def test_table_ids_and_categories_are_immutable():
+    reps, cats = np.array([[0.0], [0.5], [1.0]]), np.array([0, 1, 1])
+    t = ActionTable(reps=reps, ids=[10, 20, 30], categories=cats)
+    with pytest.raises(AttributeError):
+        t.ids.append(9)
+    with pytest.raises(ValueError):
+        t.categories[0] = 5
+    with pytest.raises(ValueError):
+        t.reps[0, 0] = 5.0
+    reps[0, 0], cats[0] = 5.0, 5  # the caller's arrays stay its own
+    assert t.reps[0, 0] == 0.0 and t.categories[0] == 0
+    assert t.ids == (10, 20, 30)
+    assert np.array_equal(t.rep_of(20), [0.5])
+
+
 def test_duplicate_rows_rejected():
     with pytest.raises(ActionTableError):
         ActionTable(reps=np.array([[0.0, 1.0], [0.0, 1.0]]))

@@ -264,6 +264,12 @@ def test_mining_action_table_shape_and_bounds():
     assert all(c == 1 for c in table.categories[4:])
 
 
+def test_mining_action_table_single_mine_type():
+    table = mining_action_table(MiningConfig(n_mine_types=1, n_tools=1))
+    assert len(table) == 5
+    assert np.array_equal(table.reps[4], [1.0, 0.0, 0.0, 1.0])
+
+
 # ------------------------------------------------------------------- recsim
 
 def test_recsim_equal_scores_give_half_click_probability():
@@ -377,6 +383,16 @@ def test_bandit_stored_max_matches_grid_bruteforce():
         grid = np.linspace(-1.0, 1.0, 10_000)[:, None]
         brute = float(np.max(landscape.value(grid)))
         assert abs(brute - landscape.max_value) < 1e-4
+
+
+def test_bandit_value_accepts_nested_lists():
+    landscape = canonical_adversarial()
+    assert np.array_equal(landscape.value([[0.1]]), landscape.value(np.array([[0.1]])))
+
+
+def test_bandit_value_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        canonical_adversarial().value(np.array([0.1, 0.2]))  # two 1-D actions, not one row
 
 
 def test_bandit_env_clamps_and_terminates():

@@ -11,8 +11,6 @@ from savo.nn import (
     SetSummary,
     ShapeError,
     adam_step,
-    deepset_summarize,
-    film_modulate,
     load_arrays,
     polyak_update,
     save_arrays,
@@ -130,7 +128,7 @@ def test_film_is_identity_at_init():
     gen = FilmGenerator.create(cond_dim=4, width=6, rng=rng)
     feats = rng.standard_normal(6)
     cond = rng.standard_normal(4)
-    assert np.array_equal(film_modulate(feats, cond, gen), feats)
+    assert np.array_equal(gen.modulate_tape(feats, cond)[0], feats)
 
 
 def test_film_zero_scale_returns_shift():
@@ -139,7 +137,7 @@ def test_film_zero_scale_returns_shift():
     # force raw scale = -1 (net scale 0) and shift = (0.7, -0.2) for any cond
     gen.net.layers[-1].weight[:] = 0.0
     gen.net.layers[-1].bias[:] = np.array([-1.0, -1.0, 0.7, -0.2])
-    out = film_modulate(np.array([5.0, 9.0]), np.zeros(3), gen)
+    out, _ = gen.modulate_tape(np.array([5.0, 9.0]), np.zeros(3))
     assert np.allclose(out, [0.7, -0.2])
 
 
@@ -151,13 +149,13 @@ def test_film_matches_hand_computation():
     cond = rng.standard_normal(3)
     raw = gen.net.forward(cond)
     expected = (1.0 + raw[:4]) * feats + raw[4:]
-    assert np.allclose(film_modulate(feats, cond, gen), expected, atol=0, rtol=0)
+    assert np.allclose(gen.modulate_tape(feats, cond)[0], expected, atol=0, rtol=0)
 
 
 def test_film_width_mismatch_raises():
     gen = FilmGenerator.create(cond_dim=3, width=4, rng=np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        film_modulate(np.zeros(5), np.zeros(3), gen)
+        gen.modulate_tape(np.zeros(5), np.zeros(3))
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -173,7 +171,7 @@ def test_film_gradients_match_finite_differences(seed):
     w = rng.standard_normal((2, width))
 
     def objective():
-        return float(np.sum(film_modulate(feats, cond, gen) * w))
+        return float(np.sum(gen.modulate_tape(feats, cond)[0] * w))
 
     out, tape = gen.modulate_tape(feats, cond)
     dfeat, dcond, grads = gen.backward(tape, w)
@@ -196,7 +194,7 @@ def test_deepset_permutation_invariance_is_bitwise():
 
 def test_deepset_empty_set_is_zero_vector():
     ds = DeepSetSummarizer.create(3, 5, 4, np.random.default_rng(0))
-    summary = deepset_summarize([], ds)
+    summary = ds.summarize([])
     assert summary.count == 0
     assert np.array_equal(summary.vector, np.zeros(4))
 
@@ -240,6 +238,44 @@ def test_deepset_gradients_match_finite_differences(seed):
     delems, grads = ds.backward_batch(tape, w)
     assert_grads_match(grads, central_diff(objective, ds.arrays()))
     assert_grads_match([delems], central_diff(objective, [elems]))
+
+
+# ------------------------------------------- taped and untaped entry points
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mlp_taped_and_untaped_forward_agree_bitwise(seed):
+    rng = np.random.default_rng(4000 + seed)
+    net = rand_mlp(rng, [4, 7, 7, 3], acts=["relu", "tanh", "linear"], rand_bias=True)
+    for x in (rng.standard_normal(4), rng.standard_normal((5, 4))):
+        assert np.array_equal(net.forward(x), net.forward_tape(x)[0])
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_deepset_taped_and_untaped_forward_agree_bitwise(m):
+    rng = np.random.default_rng(4100 + m)
+    ds = DeepSetSummarizer.create(3, 5, 4, rng)
+    elems = rng.standard_normal((6, m, 3))
+    out, tape = ds.forward_batch_tape(elems)
+    assert np.array_equal(ds.forward_batch(elems), out)
+    assert tape[:2] == (6, m)
+
+
+def test_deepset_summarize_agrees_bitwise_with_batch_of_sorted_set():
+    rng = np.random.default_rng(4200)
+    ds = DeepSetSummarizer.create(3, 5, 4, rng)
+    elems = rng.standard_normal((4, 3))
+    ordered = elems[np.lexsort(elems.T[::-1])]
+    assert np.array_equal(ds.summarize(list(elems)).vector, ds.forward_batch(ordered[None])[0])
+
+
+def test_film_scale_shift_agrees_bitwise_with_modulate_tape():
+    rng = np.random.default_rng(4300)
+    gen = FilmGenerator.create(cond_dim=3, width=4, rng=rng)
+    gen.net.layers[-1].weight[:] = rng.standard_normal(gen.net.layers[-1].weight.shape)
+    for h, c in ((rng.standard_normal(4), rng.standard_normal(3)),
+                 (rng.standard_normal((5, 4)), rng.standard_normal((5, 3)))):
+        gamma, beta = gen.scale_shift(c)
+        assert np.array_equal(gamma * h + beta, gen.modulate_tape(h, c)[0])
 
 
 # ------------------------------------------------------------------- adam
@@ -360,3 +396,32 @@ def test_checkpoint_shape_mismatch_raises(tmp_path):
     wrong = rand_mlp(np.random.default_rng(2), [3, 5, 2])
     with pytest.raises(ShapeError):
         load_arrays(path, wrong.arrays())
+
+
+def _trained_net(seed, steps):
+    rng = np.random.default_rng(seed)
+    net = rand_mlp(rng, [3, 7, 2])
+    state = AdamState(net.arrays())
+    for _ in range(steps):
+        adam_step(net.arrays(), [rng.standard_normal(a.shape) for a in net.arrays()], state, lr=1e-3)
+    return net, state
+
+
+@pytest.mark.parametrize("corrupt", ["last_array", "adam_moment"])
+def test_checkpoint_mismatch_changes_nothing(tmp_path, corrupt):
+    net, state = _trained_net(41, steps=1)
+    path = tmp_path / "net.npz"
+    save_arrays(path, net.arrays(), state)
+    with np.load(path) as data:
+        payload = dict(data)
+    key = f"p{len(net.arrays()) - 1}" if corrupt == "last_array" else "v0"
+    payload[key] = np.zeros(payload[key].size + 1)
+    np.savez(path, **payload)
+
+    other, other_state = _trained_net(42, steps=2)
+    before = [a.copy() for a in other.arrays() + other_state.m + other_state.v]
+    with pytest.raises(ShapeError):
+        load_arrays(path, other.arrays(), other_state)
+    for a, b in zip(other.arrays() + other_state.m + other_state.v, before):
+        assert np.array_equal(a, b)
+    assert other_state.step == 2
