@@ -11,6 +11,24 @@ from savo.actions import (
     nearest_rows,
     save_table_csv,
 )
+from savo.envs import RecsimConfig, recsim_action_table
+
+
+def scan(q, reps):
+    """Brute-force oracle: every row by (difference-form distance, index)."""
+    diff = reps - q
+    d = np.einsum("nd,nd->n", diff, diff)
+    return sorted(range(len(reps)), key=lambda i: (d[i], i))
+
+
+def assert_matches_scan(t, queries, k):
+    """knn, nearest and nearest_rows all agree with the brute-force scan."""
+    rows = nearest_rows(queries, t)
+    for q, row in zip(queries, rows):
+        order = scan(q, t.reps)
+        assert knn(q, t, k) == [t.ids[i] for i in order[:k]]
+        assert nearest(q, t) == t.ids[order[0]]
+        assert row == order[0]
 
 
 def line_table():
@@ -81,8 +99,133 @@ def test_nearest_rows_matches_scalar_nearest():
     t = ActionTable(reps=rng.standard_normal((200, 3)))
     queries = rng.standard_normal((1000, 3))
     batch = nearest_rows(queries, t)
-    for q, row in zip(queries[:50], batch[:50]):
+    assert batch.shape == (1000,)
+    for q, row in zip(queries, batch):
         assert t.ids[int(row)] == nearest(q, t)
+
+
+def test_nearest_rows_returns_rows_where_nearest_returns_ids():
+    t = ActionTable(reps=np.array([[0.0], [0.5], [1.0]]), ids=[10, 20, 30])
+    assert nearest(np.array([0.6]), t) == 20
+    assert nearest_rows(np.array([0.6]), t).tolist() == [1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_raises(bad):
+    t = line_table()
+    with pytest.raises(ActionTableError):
+        nearest(np.array([bad]), t)
+    with pytest.raises(ActionTableError):
+        knn(np.array([bad]), t, 2)
+    with pytest.raises(ActionTableError):
+        nearest_rows(np.array([[0.1], [bad]]), t)
+
+
+def test_query_of_wrong_width_or_ndim_raises():
+    t = ActionTable(reps=np.eye(3))
+    for bad in (np.zeros(2), np.zeros((1, 3)), np.float64(0.0)):
+        with pytest.raises(ActionTableError):
+            nearest(bad, t)
+        with pytest.raises(ActionTableError):
+            knn(bad, t, 1)
+    for bad in (np.zeros((4, 2)), np.zeros((2, 4, 3)), np.float64(0.0)):
+        with pytest.raises(ActionTableError):
+            nearest_rows(bad, t)
+    assert nearest_rows(np.zeros((0, 3)), t).shape == (0,)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.5, 2.0, "2", None])
+def test_knn_rejects_non_integer_k(k):
+    with pytest.raises(ActionTableError):
+        knn(np.array([0.3]), line_table(), k)
+
+
+def test_knn_accepts_numpy_integer_k():
+    assert knn(np.array([0.9]), line_table(), np.int64(2)) == [2, 1]
+
+
+def test_exact_at_large_offset_near_rows():
+    rng = np.random.default_rng(11)
+    t = ActionTable(reps=1e8 + rng.standard_normal((200, 5)))
+    queries = t.reps[rng.integers(0, 200, 300)] + 1e-3 * rng.standard_normal((300, 5))
+    rows = nearest_rows(queries, t)
+    assert sum(int(r) != scan(q, t.reps)[0] for q, r in zip(queries, rows)) == 0
+    assert sum(knn(q, t, 5) != scan(q, t.reps)[:5] for q in queries) == 0
+
+
+def test_exact_when_a_far_row_swamps_the_screen_resolution():
+    # Rows on a unit sphere around the queries, their radii 1e-7 apart, plus
+    # one row at 1e8 that moves the centre ~1.6e6 away: the screen's rounding
+    # (~1e-3 here) is far coarser than the gaps, so only the re-rank orders them.
+    rng = np.random.default_rng(15)
+    dirs = rng.standard_normal((60, 3))
+    radii = 1.0 + 1e-7 * rng.permutation(60)
+    reps = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * radii[:, None], [[1e8, 0.0, 0.0]]])
+    assert_matches_scan(ActionTable(reps=reps), 1e-9 * rng.standard_normal((30, 3)), k=8)
+
+
+def test_exact_when_squared_distances_overflow():
+    # Screen products of +-1e310 overflow to inf - inf = nan, and the
+    # difference form gives inf for both far rows, which then tie by index.
+    # numpy warns of the overflow; the results stay exact.
+    t = ActionTable(reps=np.array([[1e160, -1e160], [-1e160, 1e160], [0.0, 0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_matches_scan(t, np.array([[1e150, 1e150], [1e200, -1e200], [0.0, 1.0]]), k=3)
+
+
+def test_exact_ties_on_integer_lattice_for_every_k():
+    axis = np.arange(4.0)
+    t = ActionTable(reps=np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3))
+    halves = np.arange(-0.5, 4.0, 0.5)
+    queries = np.stack(np.meshgrid(halves, halves, [0.5, 1.0], indexing="ij"), -1).reshape(-1, 3)
+    rows = nearest_rows(queries, t)
+    for q, row in zip(queries, rows):
+        order = scan(q, t.reps)
+        assert row == order[0]
+        for k in range(1, len(t) + 1):
+            assert knn(q, t, k) == order[:k]
+
+
+def test_exact_at_tiny_scale():
+    rng = np.random.default_rng(12)
+    t = ActionTable(reps=1e-9 * rng.standard_normal((300, 4)))
+    assert_matches_scan(t, 1e-9 * rng.standard_normal((100, 4)), k=7)
+
+
+def test_single_row_table():
+    t = ActionTable(reps=np.array([[2.0, -1.0]]), ids=[42])
+    queries = np.array([[2.0, -1.0], [1e6, 3.0], [-5.0, 0.0]])
+    assert_matches_scan(t, queries, k=1)
+    assert nearest_rows(queries, t).tolist() == [0, 0, 0]
+
+
+def test_exact_on_recsim_table_at_workload_shape():
+    t = recsim_action_table(RecsimConfig())
+    rng = np.random.default_rng(13)
+    queries = np.clip(rng.standard_normal((256, t.dim)), -1.0, 1.0)
+    assert_matches_scan(t, queries, k=10)
+
+
+def test_cached_index_is_read_only():
+    t = gmm_sample_table(seed=4, n_actions=50, centers=3, dim=3)
+    arrays = [v for v in t._index if isinstance(v, np.ndarray)]
+    assert arrays
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+
+
+def test_changing_callers_reps_changes_no_result():
+    rng = np.random.default_rng(14)
+    reps = rng.standard_normal((80, 3))
+    t = ActionTable(reps=reps)
+    queries = rng.standard_normal((20, 3))
+    before = [knn(q, t, 4) for q in queries], nearest_rows(queries, t)
+    reps[:] = -reps[::-1]
+    after = [knn(q, t, 4) for q in queries], nearest_rows(queries, t)
+    assert before[0] == after[0]
+    assert np.array_equal(before[1], after[1])
 
 
 def test_table_ids_and_categories_are_immutable():
@@ -148,3 +291,15 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert back.ids == t.ids
     assert np.array_equal(back.reps, t.reps)
     assert np.array_equal(back.categories, t.categories)
+
+
+def test_csv_reloaded_table_retrieves_same_ids(tmp_path):
+    t = gmm_sample_table(seed=22, n_actions=128, centers=4, dim=3)
+    path = tmp_path / "table.csv"
+    save_table_csv(t, path)
+    back = load_table_csv(path)
+    queries = np.random.default_rng(23).standard_normal((40, 3))
+    assert np.array_equal(nearest_rows(queries, back), nearest_rows(queries, t))
+    for q in queries:
+        assert knn(q, back, 6) == knn(q, t, 6)
+        assert nearest(q, back) == nearest(q, t)
