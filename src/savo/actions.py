@@ -143,10 +143,13 @@ def _margin(dim: int, reach: float) -> float:
     return 2.0 * (dim + 3) * (_EPS * (2.0 * reach * reach) + 2.0 * _TINY)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rank_rows(queries: np.ndarray, table: ActionTable, k: int) -> np.ndarray:
     """(B, k) row indices of each query's k nearest rows by (distance, index).
 
     ``queries`` is a validated finite (B, D) float64 array and 1 <= k <= N.
+    Products that overflow give inf or nan, which the shortlist keeps (see
+    ``_margin``), so numpy's overflow and invalid-value warnings are silenced.
     """
     centre, screen_matrix, max_norm = table._index
     lifted = np.empty((len(queries), table.dim + 1))

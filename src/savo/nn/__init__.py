@@ -1,4 +1,4 @@
-from .core import DenseLayer, Mlp, ShapeError, relu, relu_prime, xavier_uniform
+from .core import DenseLayer, Mlp, ShapeError, xavier_uniform
 from .deepset import DeepSetSummarizer, SetSummary
 from .film import FilmGenerator
 from .optim import AdamState, NonFiniteGradientError, adam_step, polyak_update
@@ -16,8 +16,6 @@ __all__ = [
     "adam_step",
     "load_arrays",
     "polyak_update",
-    "relu",
-    "relu_prime",
     "save_arrays",
     "xavier_uniform",
 ]

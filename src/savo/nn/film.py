@@ -52,7 +52,10 @@ class FilmGenerator:
     def backward(self, tape, dout: np.ndarray, with_params: bool = True):
         """Returns (d_features, d_cond, grads)."""
         features, gamma, net_tape = tape
+        dout = np.asarray(dout, dtype=np.float64)
         dfeat = dout * gamma
-        draw = np.concatenate([dout * features, dout], axis=-1)
+        draw = np.empty(dout.shape[:-1] + (2 * self.width,))
+        np.multiply(dout, features, out=draw[..., : self.width])
+        draw[..., self.width :] = dout
         dcond, grads = self.net.backward(net_tape, draw, with_params=with_params)
         return dfeat, dcond, grads

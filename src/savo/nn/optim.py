@@ -31,26 +31,41 @@ def adam_step(
 ) -> None:
     """One in-place Adam update with bias correction.
 
-    Gradients are validated before any state is touched: a non-finite
-    gradient raises and leaves parameters, moments and the step counter
-    unchanged.
+    Shapes and gradients are validated before any state is touched: a
+    gradient or moment of the wrong shape raises ``ShapeError``, and a
+    non-finite gradient raises ``NonFiniteGradientError``; either leaves
+    parameters, moments and the step counter unchanged. Each parameter array
+    is updated through two scratch arrays, with the operations of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``a -= (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in that order.
     """
-    if len(arrays) != len(grads) or len(arrays) != len(state.m):
+    if not len(arrays) == len(grads) == len(state.m) == len(state.v):
         raise ShapeError("parameter/gradient/state lengths disagree")
-    for a, g in zip(arrays, grads):
+    for a, g, m, v in zip(arrays, grads, state.m, state.v):
         if a.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {a.shape}")
+        if a.shape != m.shape or a.shape != v.shape:
+            raise ShapeError(f"moment shapes {m.shape}, {v.shape} != parameter shape {a.shape}")
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError("non-finite gradient; update rejected")
     state.step += 1
     c1 = 1.0 - beta1**state.step
     c2 = 1.0 - beta2**state.step
     for a, g, m, v in zip(arrays, grads, state.m, state.v):
+        buf = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += buf
+        np.multiply(g, 1.0 - beta2, out=buf)
+        buf *= g
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        a -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        v += buf
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, c1, out=buf)
+        buf *= lr
+        buf /= denom
+        a -= buf
 
 
 def polyak_update(target: list[np.ndarray], online: list[np.ndarray], tau: float) -> None:
@@ -62,5 +77,6 @@ def polyak_update(target: list[np.ndarray], online: list[np.ndarray], tau: float
     for t, o in zip(target, online):
         if t.shape != o.shape:
             raise ShapeError(f"target shape {t.shape} != online shape {o.shape}")
+    for t, o in zip(target, online):
         t *= 1.0 - tau
         t += tau * o

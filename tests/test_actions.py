@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,21 @@ def test_exact_when_squared_distances_overflow():
     with np.errstate(over="ignore", invalid="ignore"):
         assert_matches_scan(t, np.array([[1e150, 1e150], [1e200, -1e200], [0.0, 1.0]]), k=3)
 
+
+
+def test_overflowing_lookups_raise_no_warning():
+    # Same table and queries as above, with every warning turned into an
+    # error: the kernel silences its own overflow and returns the scan's rows.
+    t = ActionTable(reps=np.array([[1e160, -1e160], [-1e160, 1e160], [0.0, 0.0]]))
+    queries = np.array([[1e150, 1e150], [1e200, -1e200], [0.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        orders = [scan(q, t.reps) for q in queries]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = nearest_rows(queries, t)
+        picks = [(nearest(q, t), knn(q, t, 3)) for q in queries]
+    assert rows.tolist() == [order[0] for order in orders]
+    assert picks == [(t.ids[order[0]], [t.ids[i] for i in order]) for order in orders]
 
 def test_exact_ties_on_integer_lattice_for_every_k():
     axis = np.arange(4.0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,190 @@ def test_backward_without_params_matches_full():
     dx_only, grads = net.backward(tape, np.ones((3, 1)), with_params=False)
     assert grads is None
     assert np.array_equal(dx_full, dx_only)
+
+
+# ------------------------------- reference formulas for the in-place passes
+#
+# The allocating forward/backward that keeps every pre-activation and takes
+# derivatives from it, and the allocating Adam and Polyak updates. The
+# in-place passes must give the same floating-point values, bit for bit.
+
+_REF_ACTS = {
+    "linear": (lambda z: z, lambda z: np.ones_like(z)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+}
+
+
+def ref_mlp(net, x, dy, with_params=True):
+    """(output, dx, grads) by the pre-activation formulas."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    h = x[None, :] if single else x
+    tape = []
+    for layer in net.layers:
+        z = h @ layer.weight + layer.bias
+        tape.append((h, z))
+        h = _REF_ACTS[layer.activation][0](z)
+    dy = np.asarray(dy, dtype=np.float64)
+    if dy.ndim == 1 and not single:
+        dy = dy[:, None]
+    if single:
+        dy = np.atleast_1d(dy)[None, :]
+    grads = [] if with_params else None
+    dh = dy
+    for layer, (h_in, z) in zip(reversed(net.layers), reversed(tape)):
+        dz = dh * _REF_ACTS[layer.activation][1](z)
+        if with_params:
+            grads.insert(0, dz.sum(axis=0))
+            grads.insert(0, h_in.T @ dz)
+        dh = dz @ layer.weight.T
+    return (h[0] if single else h), (dh[0] if single else dh), grads
+
+
+def ref_adam(arrays, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    step += 1
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    for a, g, mm, vv in zip(arrays, grads, m, v):
+        mm *= beta1
+        mm += (1.0 - beta1) * g
+        vv *= beta2
+        vv += (1.0 - beta2) * g * g
+        a -= lr * (mm / c1) / (np.sqrt(vv / c2) + eps)
+    return step
+
+
+def assert_same(got, want):
+    """Bitwise equal, nan matching nan; lists compare item by item."""
+    if want is None:
+        assert got is None
+        return
+    if isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+        return
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _ref_case_net(rng, acts, out_dim):
+    net = rand_mlp(rng, [4, 6, 5, out_dim], acts=list(acts), rand_bias=True)
+    net.layers[0].bias[:2] = 0.0  # zero input rows give exact-zero pre-activations
+    return net
+
+
+@pytest.mark.parametrize("acts", list(itertools.product(["relu", "tanh", "linear"], repeat=3)))
+@pytest.mark.parametrize("out_dim", [1, 3])
+def test_mlp_passes_match_preactivation_formulas_bitwise(acts, out_dim):
+    rng = np.random.default_rng([out_dim] + [("relu", "tanh", "linear").index(a) for a in acts])
+    net = _ref_case_net(rng, acts, out_dim)
+    x_batch = rng.standard_normal((9, 4))
+    x_batch[0] = 0.0
+    x_batch[1] *= 1e3  # saturates tanh
+    cases = [(x_batch, rng.standard_normal((9, out_dim))), (x_batch[2], rng.standard_normal(out_dim))]
+    if out_dim == 1:
+        cases += [(x_batch, rng.standard_normal(9)), (x_batch[3], rng.standard_normal(()))]
+    for x, dy in cases:
+        for with_params in (True, False):
+            x_before, dy_before = x.copy(), dy.copy()
+            out, tape = net.forward_tape(x)
+            dx, grads = net.backward(tape, dy, with_params=with_params)
+            want_out, want_dx, want_grads = ref_mlp(net, x, dy, with_params)
+            assert_same(out, want_out)
+            assert_same(net.forward(x), want_out)
+            assert_same(dx, want_dx)
+            assert_same(grads, want_grads)
+            assert_same(x, x_before)
+            assert_same(dy, dy_before)
+
+
+@pytest.mark.parametrize("acts", [("relu", "relu", "linear"), ("relu", "tanh", "tanh")])
+def test_mlp_passes_propagate_non_finite_values_as_before(acts):
+    rng = np.random.default_rng(4400)
+    net = _ref_case_net(rng, acts, 2)
+    x = rng.standard_normal((6, 4))
+    x[0, 1] = np.nan
+    x[1, 2] = np.inf
+    x[2, 0] = -np.inf
+    dy = rng.standard_normal((6, 2))
+    dy[3, 0] = np.nan
+    dy[4, 1] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        out, tape = net.forward_tape(x)
+        dx, grads = net.backward(tape, dy)
+        want_out, want_dx, want_grads = ref_mlp(net, x, dy)
+    assert np.isnan(out[0]).all() and np.isnan(dx[3]).any()
+    assert_same(out, want_out)
+    assert_same(dx, want_dx)
+    assert_same(grads, want_grads)
+
+
+def test_film_backward_matches_concatenated_formula_bitwise():
+    rng = np.random.default_rng(4500)
+    gen = FilmGenerator.create(cond_dim=3, width=4, rng=rng)
+    for layer in gen.net.layers:
+        layer.weight[:] = rng.standard_normal(layer.weight.shape)
+    for feats, cond, dout in ((rng.standard_normal((5, 4)), rng.standard_normal((5, 3)), rng.standard_normal((5, 4))),
+                              (rng.standard_normal(4), rng.standard_normal(3), rng.standard_normal(4))):
+        dout_before = dout.copy()
+        _, tape = gen.modulate_tape(feats, cond)
+        dfeat, dcond, grads = gen.backward(tape, dout)
+        gamma = 1.0 + gen.net.forward(cond)[..., :4]
+        draw = np.concatenate([dout * feats, dout], axis=-1)
+        _, want_dcond, want_grads = ref_mlp(gen.net, cond, draw)
+        assert_same(dfeat, dout * gamma)
+        assert_same(dcond, want_dcond)
+        assert_same(grads, want_grads)
+        assert_same(dout, dout_before)
+
+
+def test_taped_output_is_read_only():
+    rng = np.random.default_rng(4600)
+    net = rand_mlp(rng, [3, 5, 2], rand_bias=True)
+    x = rng.standard_normal((4, 3))
+    for xi in (x, x[0]):
+        out, tape = net.forward_tape(xi)
+        with pytest.raises(ValueError):
+            out[...] = 0.0
+        with pytest.raises(ValueError):
+            out += 1.0
+        assert net.forward(xi).flags.writeable
+    ds = DeepSetSummarizer.create(3, 5, 4, rng)
+    summary, _ = ds.forward_batch_tape(rng.standard_normal((2, 3, 3)))
+    with pytest.raises(ValueError):
+        summary[0] = 0.0
+
+
+@pytest.mark.parametrize("dy_shape", [(4,), (4, 2), (3, 3), (1, 4, 3), ()])
+def test_backward_rejects_upstream_gradient_of_wrong_shape(dy_shape):
+    rng = np.random.default_rng(4700)
+    net = rand_mlp(rng, [3, 5, 3], rand_bias=True)
+    _, tape = net.forward_tape(rng.standard_normal((4, 3)))
+    with pytest.raises(ShapeError):
+        net.backward(tape, np.ones(dy_shape))
+
+
+@pytest.mark.parametrize("dy_shape", [(), (1, 3), (2,)])
+def test_backward_of_single_input_rejects_wrong_upstream_shape(dy_shape):
+    rng = np.random.default_rng(4800)
+    net = rand_mlp(rng, [3, 5, 3], rand_bias=True)
+    _, tape = net.forward_tape(rng.standard_normal(3))
+    with pytest.raises(ShapeError):
+        net.backward(tape, np.ones(dy_shape))
+
+
+def test_backward_takes_unsqueezed_upstream_only_for_one_output_nets():
+    rng = np.random.default_rng(4900)
+    net = rand_mlp(rng, [3, 5, 1], rand_bias=True)
+    x = rng.standard_normal((4, 3))
+    _, tape = net.forward_tape(x)
+    dy = rng.standard_normal(4)
+    assert_same(net.backward(tape, dy)[0], net.backward(tape, dy[:, None])[0])
+    with pytest.raises(ShapeError):
+        net.backward(tape, np.ones(5))
 
 
 # ------------------------------------------------------------------- film
@@ -338,6 +524,51 @@ def test_adam_step_counter_increments_by_one():
         assert state.step == expected
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_adam_matches_allocating_formula_bitwise(seed):
+    rng = np.random.default_rng(5000 + seed)
+    shapes = [(4, 3), (3,), (3, 1), (1,)]
+    arrays = [rng.standard_normal(s) for s in shapes]
+    ref_arrays = [a.copy() for a in arrays]
+    state = AdamState(arrays)
+    ref_m, ref_v, ref_step = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes], 0
+    for i in range(6):
+        scale = 10.0 ** rng.uniform(-150, 150, size=len(shapes)) if i % 2 else np.ones(len(shapes))
+        grads = [s * rng.standard_normal(a.shape) for s, a in zip(scale, arrays)]
+        grads[0][0, 0] = 0.0
+        before = [g.copy() for g in grads]
+        lr = float(10.0 ** rng.uniform(-4, -1))
+        adam_step(arrays, grads, state, lr=lr)
+        ref_step = ref_adam(ref_arrays, grads, ref_m, ref_v, ref_step, lr)
+        assert_same(arrays, ref_arrays)
+        assert_same(state.m, ref_m)
+        assert_same(state.v, ref_v)
+        assert_same(grads, before)
+        assert state.step == ref_step
+
+
+def test_adam_rejects_state_of_another_network_and_changes_nothing():
+    rng = np.random.default_rng(5100)
+    net, other = rand_mlp(rng, [3, 4, 2]), rand_mlp(rng, [3, 5, 2])
+    state = AdamState(other.arrays())
+    grads = [rng.standard_normal(a.shape) for a in net.arrays()]
+    before = [a.copy() for a in net.arrays() + state.m + state.v]
+    with pytest.raises(ShapeError):
+        adam_step(net.arrays(), grads, state, lr=1e-3)
+    for a, b in zip(net.arrays() + state.m + state.v, before):
+        assert np.array_equal(a, b)
+    assert state.step == 0
+
+
+def test_adam_rejects_second_moment_of_wrong_shape():
+    w = [np.zeros(3)]
+    state = AdamState(w)
+    state.v[0] = np.zeros(4)
+    with pytest.raises(ShapeError):
+        adam_step(w, [np.ones(3)], state, lr=1e-3)
+    assert state.step == 0 and not state.m[0].any()
+
+
 # ----------------------------------------------------------------- polyak
 
 def test_polyak_tau_one_copies():
@@ -367,6 +598,25 @@ def test_polyak_scalar_halfway():
 def test_polyak_shape_mismatch_raises():
     with pytest.raises(ShapeError):
         polyak_update([np.zeros(2)], [np.zeros(3)], 0.5)
+    target = [np.zeros(2), np.zeros(2)]
+    with pytest.raises(ShapeError):
+        polyak_update(target, [np.ones(2), np.ones(3)], 0.5)
+    assert not target[0].any()  # checked before any array moves
+
+
+@pytest.mark.parametrize("tau", [0.005, 0.3, 1.0 / 3.0])
+def test_polyak_matches_allocating_formula_bitwise(tau):
+    rng = np.random.default_rng(5200)
+    target = [rng.standard_normal((5, 4)), 1e200 * rng.standard_normal(3)]
+    online = [rng.standard_normal((5, 4)), 1e-200 * rng.standard_normal(3)]
+    want = [t.copy() for t in target]
+    for t, o in zip(want, online):
+        t *= 1.0 - tau
+        t += tau * o
+    online_before = [o.copy() for o in online]
+    polyak_update(target, online, tau)
+    assert_same(target, want)
+    assert_same(online, online_before)
 
 
 # ------------------------------------------------------------- checkpoint
