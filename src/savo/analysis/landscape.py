@@ -5,99 +5,70 @@ of equal value is one optimum iff every cell just outside it is strictly
 lower. This makes thresholded surfaces (flat regions created by flooring a
 landscape at a constant) countable in the obvious way, and a constant grid
 counts as a single optimum.
+
+`count_local_optima` counts them with one body for 1-D and 2-D grids alike:
+
+- Edges: along each axis, two slices of the grid compare every cell with its
+  next neighbour. Equal neighbours become an edge; a cell with a strictly
+  higher neighbour is marked beaten.
+- Components: a numpy union-find joins the two ends of every edge. Each round
+  hooks the larger of the two roots onto the smaller (`np.minimum.at`), then
+  compresses with ``root = root[root]`` until no pointer moves, so every cell
+  points straight at its root. Rounds repeat until every edge's two ends
+  share a root; roots only ever decrease, so the loop ends.
+- Count: a component is an optimum iff none of its cells is beaten, so the
+  answer is the number of roots that no beaten cell points at.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 
-@dataclass
-class LandscapeGrid:
-    """Dense (action, value) samples over a 1-D or 2-D box."""
+def count_local_optima(values: np.ndarray) -> int:
+    """Number of (plateau-aware) strict local maxima of a 1-D or 2-D grid.
 
-    axes: list[np.ndarray]
-    values: np.ndarray
-    provenance: str = ""
-
-    def __post_init__(self):
-        self.axes = [np.asarray(a, dtype=np.float64) for a in self.axes]
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim not in (1, 2):
-            raise ValueError("only 1-D and 2-D grids are supported")
-        if any(len(a) < 3 for a in self.axes):
-            raise ValueError("need at least 3 points per axis")
-        expected = tuple(len(a) for a in self.axes)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != axes shape {expected}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
-
-    @property
-    def actions(self) -> np.ndarray:
-        """Grid coordinates flattened to (n_cells, D)."""
-        if self.values.ndim == 1:
-            return self.axes[0][:, None]
-        mx, my = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.stack([mx.ravel(), my.ravel()], axis=1)
-
-
-def _count_1d(values: np.ndarray) -> int:
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    runs = values[keep]
-    if len(runs) == 1:
-        return 1
-    higher_than_left = np.empty(len(runs), dtype=bool)
-    higher_than_left[0] = True
-    higher_than_left[1:] = runs[1:] > runs[:-1]
-    higher_than_right = np.empty(len(runs), dtype=bool)
-    higher_than_right[-1] = True
-    higher_than_right[:-1] = runs[:-1] > runs[1:]
-    return int(np.sum(higher_than_left & higher_than_right))
-
-
-def _count_2d(values: np.ndarray) -> int:
-    n, m = values.shape
-    visited = np.zeros((n, m), dtype=bool)
-    count = 0
-    for sx in range(n):
-        for sy in range(m):
-            if visited[sx, sy]:
-                continue
-            v = values[sx, sy]
-            stack = [(sx, sy)]
-            visited[sx, sy] = True
-            is_max = True
-            while stack:
-                x, y = stack.pop()
-                for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                    if not (0 <= nx < n and 0 <= ny < m):
-                        continue
-                    w = values[nx, ny]
-                    if w == v:
-                        if not visited[nx, ny]:
-                            visited[nx, ny] = True
-                            stack.append((nx, ny))
-                    elif w > v:
-                        is_max = False
-            if is_max:
-                count += 1
-    return count
-
-
-def count_local_optima(grid) -> int:
-    """Number of (plateau-aware) strict local maxima of a 1-D or 2-D grid."""
-    values = grid.values if isinstance(grid, LandscapeGrid) else np.asarray(grid, dtype=np.float64)
-    if values.ndim == 1:
-        return _count_1d(values)
-    if values.ndim == 2:
-        return _count_2d(values)
-    raise ValueError("only 1-D and 2-D grids are supported")
+    Raises ``ValueError`` for a grid of another dimension, with no cells, or
+    with a non-finite value.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim not in (1, 2):
+        raise ValueError("only 1-D and 2-D grids are supported")
+    if values.size == 0:
+        raise ValueError("grid has no cells")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid values must be finite")
+    index = np.arange(values.size)
+    cells = index.reshape(values.shape)
+    beaten = np.zeros(values.shape, dtype=bool)
+    heads, tails = [], []
+    for axis in range(values.ndim):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        a, b = values[lo], values[hi]
+        beaten[lo] |= b > a
+        beaten[hi] |= a > b
+        tie = a == b
+        heads.append(cells[lo][tie])
+        tails.append(cells[hi][tie])
+    u, v = np.concatenate(heads), np.concatenate(tails)
+    root = index.copy()
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        ru, rv = ru[apart], rv[apart]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    unbeaten = np.ones(values.size, dtype=bool)
+    unbeaten[root[beaten.ravel()]] = False
+    return int(np.count_nonzero(unbeaten & (root == index)))
 
 
 def surrogate_values(q_values: np.ndarray, anchor_q: np.ndarray) -> list[np.ndarray]:
@@ -129,17 +100,26 @@ def export_landscape(
     exact_surrogates: list[np.ndarray] = (),
     learned_surrogates: list[np.ndarray] = (),
 ) -> None:
-    """CSV dump: action coords, q, then exact and learned surrogate columns."""
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    if actions.shape[0] == 1 and actions.shape[1] > 2:
-        actions = actions.T
-    dim = actions.shape[1]
+    """CSV dump: action coords, q, then exact and learned surrogate columns.
+
+    ``actions`` is ``(N,)`` for N 1-D actions or ``(N, D)`` for N rows; q and
+    every surrogate must hold N values, else ``ValueError`` is raised before
+    the file is opened.
+    """
+    actions = np.asarray(actions, dtype=np.float64)
+    if actions.ndim == 1:
+        actions = actions[:, None]
+    if actions.ndim != 2:
+        raise ValueError(f"actions must be (N,) or (N, D), got shape {actions.shape}")
+    n, dim = actions.shape
     header = [f"a{i}" for i in range(dim)] + ["q"]
     header += [f"psi_{i + 1}" for i in range(len(exact_surrogates))]
     header += [f"psi_hat_{i + 1}" for i in range(len(learned_surrogates))]
-    columns = [actions[:, i] for i in range(dim)] + [np.asarray(q_values)]
-    columns += [np.asarray(c) for c in exact_surrogates]
-    columns += [np.asarray(c) for c in learned_surrogates]
+    values = [np.asarray(c) for c in (q_values, *exact_surrogates, *learned_surrogates)]
+    for name, column in zip(header[dim:], values):
+        if column.shape != (n,):
+            raise ValueError(f"column {name} has shape {column.shape}, expected ({n},)")
+    columns = [actions[:, i] for i in range(dim)] + values
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

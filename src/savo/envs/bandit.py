@@ -13,18 +13,20 @@ import numpy as np
 
 from .base import Env
 
+# Points per axis of the grid that `BanditLandscape` scans for its argmax.
+_SCAN_POINTS_1D = 10_001
+_SCAN_POINTS_ND = 301
+
 
 @dataclass
 class BanditLandscape:
-    """Mixture of Gaussian bumps, plus optional flat plateau floors, on a box."""
+    """Mixture of Gaussian bumps on a box."""
 
     low: np.ndarray
     high: np.ndarray
     centers: np.ndarray  # (M, D)
     heights: np.ndarray  # (M,)
     widths: np.ndarray  # (M,)
-    plateaus: list[tuple[np.ndarray, np.ndarray, float]] = field(default_factory=list)
-    grid_points: int = 10_001
     argmax: np.ndarray = field(init=False)
     max_value: float = field(init=False)
 
@@ -34,7 +36,7 @@ class BanditLandscape:
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
         self.heights = np.atleast_1d(np.asarray(self.heights, dtype=np.float64))
         self.widths = np.atleast_1d(np.asarray(self.widths, dtype=np.float64))
-        grid = self.grid(self.grid_points if self.dim == 1 else 301)
+        grid = self.grid(_SCAN_POINTS_1D if self.dim == 1 else _SCAN_POINTS_ND)
         values = self.value(grid)
         best = int(np.argmax(values))
         self.argmax = grid[best]
@@ -61,24 +63,14 @@ class BanditLandscape:
         for c, h, w in zip(self.centers, self.heights, self.widths):
             d2 = np.sum((a - c) ** 2, axis=1)
             out += h * np.exp(-d2 / (2.0 * w * w))
-        for lo, hi, level in self.plateaus:
-            inside = np.all((a >= lo) & (a <= hi), axis=1)
-            out = np.where(inside, np.maximum(out, level), out)
         return out
 
     def value_at(self, action) -> float:
         return float(self.value(np.atleast_2d(action))[0])
 
     def gradient(self, action: np.ndarray) -> np.ndarray:
-        """Analytic gradient of the bump mixture (plateau interiors are flat)."""
+        """Analytic gradient of the bump mixture."""
         a = np.atleast_1d(np.asarray(action, dtype=np.float64))
-        for lo, hi, level in self.plateaus:
-            if np.all(a >= lo) and np.all(a <= hi):
-                base = 0.0
-                for c, h, w in zip(self.centers, self.heights, self.widths):
-                    base += h * np.exp(-np.sum((a - c) ** 2) / (2 * w * w))
-                if level >= base:
-                    return np.zeros_like(a)
         g = np.zeros_like(a)
         for c, h, w in zip(self.centers, self.heights, self.widths):
             e = h * np.exp(-np.sum((a - c) ** 2) / (2.0 * w * w))

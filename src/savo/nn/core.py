@@ -76,20 +76,13 @@ class Mlp:
         sizes: list[int],
         activations: list[str],
         rng: np.random.Generator,
-        init_noise: float = 0.0,
     ) -> "Mlp":
-        """Xavier-uniform weights, zero biases.
-
-        ``init_noise`` adds ``init_noise * N(0, 1)`` to the weights after the
-        Xavier draw, used to diversify otherwise-identical actor stacks.
-        """
+        """Xavier-uniform weights, zero biases."""
         if len(activations) != len(sizes) - 1:
             raise ShapeError("need one activation per layer")
         layers = []
         for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], activations):
             w = xavier_uniform(fan_in, fan_out, rng)
-            if init_noise > 0.0:
-                w = w + init_noise * rng.standard_normal(w.shape)
             layers.append(DenseLayer(w, np.zeros(fan_out), act))
         return cls(layers)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from savo.analysis.landscape import (
-    LandscapeGrid,
     count_local_optima,
     export_landscape,
     load_landscape_csv,
@@ -81,23 +80,67 @@ def _naive_count(values: np.ndarray) -> int:
     return count
 
 
+def _path_plateau(order: list[tuple[int, int]], m: int) -> np.ndarray:
+    """A (2m-1)² grid of zeros with a one-cell-wide path of ones through the
+    nodes (2i, 2j) in ``order``; unlinked neighbouring nodes keep a zero
+    between them, so the path is one long plateau."""
+    grid = np.zeros((2 * m - 1, 2 * m - 1))
+    for (i0, j0), (i1, j1) in zip(order, order[1:]):
+        grid[2 * i0, 2 * j0] = grid[i0 + i1, j0 + j1] = grid[2 * i1, 2 * j1] = 1.0
+    return grid
+
+
+def _spiral_order(m: int) -> list[tuple[int, int]]:
+    order, top, left, bottom, right = [], 0, 0, m - 1, m - 1
+    while top <= bottom and left <= right:
+        order += [(top, j) for j in range(left, right + 1)]
+        order += [(i, right) for i in range(top + 1, bottom + 1)]
+        if top < bottom:
+            order += [(bottom, j) for j in range(right - 1, left - 1, -1)]
+        if left < right:
+            order += [(i, left) for i in range(bottom - 1, top, -1)]
+        top, left, bottom, right = top + 1, left + 1, bottom - 1, right - 1
+    return order
+
+
+def _structured_grids() -> list[np.ndarray]:
+    grids = []
+    for seed in (0, 1):
+        # analysis-shaped: Q of a 2-D bump mixture on 101² and its three floors
+        rng = np.random.default_rng(seed)
+        landscape = random_landscape(rng, dim=2)
+        q = landscape.value(landscape.grid(101)).reshape(101, 101)
+        grids += surrogate_values(q, landscape.value(rng.uniform(-1, 1, size=(3, 2))))
+    m = 31
+    serpentine = [(i, j if i % 2 == 0 else m - 1 - j) for i in range(m) for j in range(m)]
+    grids += [_path_plateau(serpentine, m), _path_plateau(_spiral_order(m), m)]
+    ring = np.zeros((9, 9))
+    ring[1:8, 1:8] = 2.0  # a maximal plateau with a hole: the pit inside it
+    ring[3:6, 3:6] = 1.0
+    ring[4, 4] = 1.5
+    edge = np.arange(42.0).reshape(6, 7) % 5
+    edge[0, :] = edge[:, 0] = 9.0  # a plateau along two sides of the grid
+    return grids + [ring, edge]
+
+
 def test_count_agrees_with_naive_recount_on_random_grids():
     rng = np.random.default_rng(0)
+    grids = []
     for case in range(1000):
         if case % 2 == 0:
-            values = rng.integers(0, 5, size=rng.integers(3, 40)).astype(float)
+            grids.append(rng.integers(0, 5, size=rng.integers(1, 40)).astype(float))
         else:
-            values = rng.integers(0, 4, size=(rng.integers(3, 12), rng.integers(3, 12))).astype(float)
+            grids.append(rng.integers(0, 4, size=rng.integers(1, 12, size=2)).astype(float))
+    for shape in ((1,), (1, 1), (1, 9), (9, 1)):
+        grids.append(rng.integers(0, 4, size=shape).astype(float))
+    for values in grids + _structured_grids():
         assert count_local_optima(values) == _naive_count(values)
 
 
-def test_landscape_grid_validates():
-    with pytest.raises(ValueError):
-        LandscapeGrid(axes=[np.linspace(0, 1, 5)], values=np.zeros(4))
-    with pytest.raises(ValueError):
-        LandscapeGrid(axes=[np.linspace(0, 1, 2)], values=np.zeros(2))
-    grid = LandscapeGrid(axes=[np.linspace(-1, 1, 5)], values=np.arange(5.0))
-    assert grid.actions.shape == (5, 1)
+def test_count_rejects_non_finite_and_empty_grids():
+    for values in ([[np.nan, np.nan], [np.nan, 0.0]], [1.0, np.nan, 1.0], [0.0, np.inf], [], np.zeros((0, 3))):
+        with pytest.raises(ValueError):
+            count_local_optima(np.asarray(values))
 
 
 # ------------------------------------------------------------------ profile
@@ -236,3 +279,27 @@ def test_export_roundtrip_and_columns(tmp_path):
     export_landscape(tmp_path / "l2.csv", actions, q, psi, psi_hat)
     header2, _ = load_landscape_csv(tmp_path / "l2.csv")
     assert header2 == header
+
+
+def test_export_reads_a_vector_as_1d_actions(tmp_path):
+    export_landscape(tmp_path / "v.csv", [0.1, 0.2], [1.0, 2.0])
+    header, data = load_landscape_csv(tmp_path / "v.csv")
+    assert header == ["a0", "q"]
+    assert np.array_equal(data, [[0.1, 1.0], [0.2, 2.0]])
+
+
+def test_export_rejects_columns_of_another_length(tmp_path):
+    actions = np.linspace(-1, 1, 5)
+    q = np.arange(5.0)
+    bad_calls = [
+        (actions, q[:3], (), ()),
+        (actions, q, [q[:4]], ()),
+        (actions, q, [q], [q, np.arange(6.0)]),
+        (actions[:, None], q[:, None], (), ()),
+        (np.zeros((5, 2, 1)), q, (), ()),
+    ]
+    for i, (a, qv, exact, learned) in enumerate(bad_calls):
+        path = tmp_path / f"bad{i}.csv"
+        with pytest.raises(ValueError):
+            export_landscape(path, a, qv, exact, learned)
+        assert not path.exists()
