@@ -128,8 +128,9 @@ def export_landscape(
 
 
 def load_landscape_csv(path) -> tuple[list[str], np.ndarray]:
+    """The header and an ``(N, len(header))`` array of the rows; N may be 0."""
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader]
-    return header, np.asarray(rows)
+    return header, np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))

@@ -83,15 +83,32 @@ def maximizer_policy_iteration(
 ):
     """Policy iteration with a hill-climb improvement plus proposal argmax.
 
-    Each iteration evaluates the policy exactly, takes one hill-climb step to
-    the best action among the current action's ring neighbors (the local,
-    gradient-like move), then picks the argmax over that move plus
-    ``k_proposals`` random alternative actions per state (all actions when
-    ``full_coverage``). Stops at a policy fixed point; returns the policy,
-    its exact value, and the per-iteration value history.
+    Each iteration evaluates the policy exactly, then improves every state at
+    once with (S, ·) array steps:
+
+    - hill-climb: the best of the current action's ring ``[a - 1, a, a + 1]``
+      (mod A), the local, gradient-like move;
+    - proposals: that move plus ``k_proposals`` random actions per state, from
+      one ``rng.integers(0, A, size=(S, k_proposals))`` draw, state by state in
+      row order (all actions instead when ``full_coverage``);
+    - the argmax over the candidates, each argmax taking the first of equal
+      maxima;
+    - the incumbent is kept unless the pick is strictly better, so fixed
+      points are stable.
+
+    The generator's stream runs on across calls, so the one draw per
+    iteration gives the same numbers as one draw of ``k_proposals`` per state.
+    Stops at a policy fixed point; returns the policy, its exact value, and
+    the per-iteration value history. Raises ``ValueError`` before any work
+    unless ``k_proposals`` is a non-negative integer (``bool`` excluded).
     """
+    if isinstance(k_proposals, bool) or not isinstance(k_proposals, (int, np.integer)) or k_proposals < 0:
+        raise ValueError(f"k_proposals must be a non-negative integer, got {k_proposals!r}")
     rng = np.random.default_rng(seed)
     n_s, n_a = mdp.n_states, mdp.n_actions
+    states = np.arange(n_s)
+    rows = states[:, None]
+    ring_offsets = np.array([-1, 0, 1])
     policy = np.zeros(n_s, dtype=np.int64)
     history: list[np.ndarray] = []
     max_iters = 10 * n_s * n_a
@@ -99,17 +116,14 @@ def maximizer_policy_iteration(
         v = policy_evaluation_exact(mdp, policy)
         history.append(v)
         q = mdp.reward + mdp.gamma * mdp.transition @ v
-        new_policy = np.empty_like(policy)
-        for s in range(n_s):
-            ring = [(policy[s] - 1) % n_a, policy[s], (policy[s] + 1) % n_a]
-            local = max(ring, key=lambda a: q[s, a])
-            if full_coverage:
-                candidates = list(range(n_a))
-            else:
-                candidates = [int(local)] + rng.integers(0, n_a, size=k_proposals).tolist()
-            best = candidates[int(np.argmax([q[s, a] for a in candidates]))]
-            # keep the incumbent on exact ties so fixed points are stable
-            new_policy[s] = policy[s] if q[s, best] <= q[s, policy[s]] else best
+        if full_coverage:
+            best = np.argmax(q, axis=1)
+        else:
+            ring = (policy[:, None] + ring_offsets) % n_a
+            local = ring[states, np.argmax(q[rows, ring], axis=1)]
+            candidates = np.column_stack([local, rng.integers(0, n_a, size=(n_s, k_proposals))])
+            best = candidates[states, np.argmax(q[rows, candidates], axis=1)]
+        new_policy = np.where(q[states, best] <= q[states, policy], policy, best)
         if np.array_equal(new_policy, policy):
             return policy, v, history
         policy = new_policy

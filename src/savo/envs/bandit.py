@@ -20,7 +20,14 @@ _SCAN_POINTS_ND = 301
 
 @dataclass
 class BanditLandscape:
-    """Mixture of Gaussian bumps on a box."""
+    """Mixture of Gaussian bumps on a 1-D or 2-D box.
+
+    ``argmax`` and ``max_value`` come from a scan of an evenly spaced grid over
+    the box. Raises ``ValueError``, before the scan, unless ``centers`` is
+    ``(M, D)`` with ``D = len(low) = len(high)`` in {1, 2}, ``heights`` and
+    ``widths`` are ``(M,)`` with ``M >= 1``, every value is finite, every width
+    is positive and ``low < high`` on each axis.
+    """
 
     low: np.ndarray
     high: np.ndarray
@@ -36,34 +43,73 @@ class BanditLandscape:
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
         self.heights = np.atleast_1d(np.asarray(self.heights, dtype=np.float64))
         self.widths = np.atleast_1d(np.asarray(self.widths, dtype=np.float64))
-        grid = self.grid(_SCAN_POINTS_1D if self.dim == 1 else _SCAN_POINTS_ND)
-        values = self.value(grid)
-        best = int(np.argmax(values))
-        self.argmax = grid[best]
+        self._validate()
+        axes = self._axes(_SCAN_POINTS_1D if self.dim == 1 else _SCAN_POINTS_ND)
+        values = self._mixture(np.ix_(*axes))
+        best = np.unravel_index(int(np.argmax(values)), values.shape)
+        self.argmax = np.array([axis[i] for axis, i in zip(axes, best)])
         self.max_value = float(values[best])
+
+    def _validate(self) -> None:
+        if self.low.ndim != 1 or self.high.shape != self.low.shape or self.dim not in (1, 2):
+            raise ValueError(
+                f"low and high must be vectors of one length, 1 or 2, got shapes "
+                f"{self.low.shape} and {self.high.shape}"
+            )
+        if self.centers.ndim != 2 or self.centers.shape[0] < 1 or self.centers.shape[1] != self.dim:
+            raise ValueError(f"centers must be (M, {self.dim}) with M >= 1, got shape {self.centers.shape}")
+        m = self.centers.shape[0]
+        if self.heights.shape != (m,) or self.widths.shape != (m,):
+            raise ValueError(
+                f"heights and widths must be ({m},), got shapes {self.heights.shape} and {self.widths.shape}"
+            )
+        for name in ("low", "high", "centers", "heights", "widths"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if not np.all(self.widths > 0.0):
+            raise ValueError("widths must be positive")
+        if not np.all(self.low < self.high):
+            raise ValueError("low must lie below high on every axis")
 
     @property
     def dim(self) -> int:
         return self.low.shape[0]
 
+    def _axes(self, points_per_axis: int) -> list[np.ndarray]:
+        return [np.linspace(self.low[d], self.high[d], points_per_axis) for d in range(self.dim)]
+
     def grid(self, points_per_axis: int) -> np.ndarray:
-        axes = [
-            np.linspace(self.low[d], self.high[d], points_per_axis) for d in range(self.dim)
-        ]
+        axes = self._axes(points_per_axis)
         if self.dim == 1:
             return axes[0][:, None]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def _mixture(self, coords) -> np.ndarray:
+        """The bump mixture at the points spanned by ``coords``: one coordinate
+        array per axis, broadcasting together to the output shape.
+
+        Per bump, ``d2`` adds the squared offsets axis by axis from the left,
+        the order ``np.sum(..., axis=1)`` takes over a row, so the values are
+        the same bit for bit whatever the layout of the points.
+        """
+        out = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in coords)))
+        for c, h, w in zip(self.centers, self.heights, self.widths):
+            d2 = np.square(coords[0] - c[0])
+            for x, cd in zip(coords[1:], c[1:]):
+                d2 = d2 + np.square(x - cd)
+            # x / -y is exactly -(x / y) in IEEE arithmetic
+            np.divide(d2, -(2.0 * w * w), out=d2)
+            np.exp(d2, out=d2)
+            d2 *= h
+            out += d2
+        return out
+
     def value(self, actions: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         if a.ndim != 2 or a.shape[1] != self.dim:
             raise ValueError(f"actions must be rows of length {self.dim}, got shape {np.shape(actions)}")
-        out = np.zeros(a.shape[0])
-        for c, h, w in zip(self.centers, self.heights, self.widths):
-            d2 = np.sum((a - c) ** 2, axis=1)
-            out += h * np.exp(-d2 / (2.0 * w * w))
-        return out
+        return self._mixture([a[:, d] for d in range(self.dim)])
 
     def value_at(self, action) -> float:
         return float(self.value(np.atleast_2d(action))[0])

@@ -20,6 +20,8 @@ from savo.analysis.mdp import (
 )
 from savo.envs import random_landscape
 
+from loop_oracles import loop_policy_iteration
+
 
 # ---------------------------------------------------------- optima counting
 
@@ -259,6 +261,62 @@ def test_maximizer_pi_sparse_proposals_monotone():
             assert np.all(later >= earlier - 1e-9)
 
 
+def _tie_heavy_mdp(rng, n_states, n_actions):
+    """Every odd action copies action 0's rewards and transitions, so many
+    candidates tie exactly and the first-max and incumbent rules decide."""
+    mdp = random_mdp(rng, n_states=n_states, n_actions=n_actions)
+    mdp.reward[:, 1::2] = mdp.reward[:, :1]
+    mdp.transition[:, 1::2] = mdp.transition[:, :1]
+    return mdp
+
+
+@pytest.mark.parametrize("full_coverage", [False, True], ids=["proposals", "full"])
+@pytest.mark.parametrize("n_actions", [1, 2, 3, 20])
+def test_maximizer_pi_matches_per_state_loop(n_actions, full_coverage):
+    rng = np.random.default_rng(50 + n_actions)
+    for k in range(4):
+        for i in range(6):
+            n_states = int(rng.integers(1, 25))
+            mdp = (_tie_heavy_mdp if i % 2 else random_mdp)(rng, n_states, n_actions)
+            seed = int(rng.integers(2**31))
+            policy, value, history = maximizer_policy_iteration(mdp, k, seed, full_coverage)
+            want_policy, want_value, want_history = loop_policy_iteration(mdp, k, seed, full_coverage)
+            assert policy.dtype == want_policy.dtype and np.array_equal(policy, want_policy)
+            assert np.array_equal(value, want_value)
+            assert len(history) == len(want_history)
+            assert all(np.array_equal(a, b) for a, b in zip(history, want_history))
+
+
+@pytest.mark.parametrize("n_actions", [1, 3, 20, 2**31 + 5, 10**12])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_one_batched_draw_equals_one_draw_per_state(n_actions, k):
+    batched, per_state = np.random.default_rng(9), np.random.default_rng(9)
+    for n_states in [1, 5, 60]:
+        got = batched.integers(0, n_actions, size=(n_states, k))
+        want = [per_state.integers(0, n_actions, size=k) for _ in range(n_states)]
+        assert np.array_equal(got, np.reshape(want, (n_states, k)))
+    assert batched.bit_generator.state == per_state.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [-1, True, False, 1.5, "2", None, np.float64(2.0)])
+def test_maximizer_pi_rejects_bad_k_before_any_solve(k, monkeypatch):
+    import savo.analysis.mdp as mdp_module
+
+    def no_solve(*args):
+        raise AssertionError("a policy was evaluated before k_proposals was checked")
+
+    mdp = random_mdp(np.random.default_rng(0), n_states=4, n_actions=3)
+    monkeypatch.setattr(mdp_module, "policy_evaluation_exact", no_solve)
+    with pytest.raises(ValueError):
+        maximizer_policy_iteration(mdp, k)
+
+
+def test_maximizer_pi_takes_numpy_integer_k():
+    mdp = random_mdp(np.random.default_rng(1), n_states=6, n_actions=5)
+    got = maximizer_policy_iteration(mdp, np.int64(2), seed=3)
+    assert np.array_equal(got[0], maximizer_policy_iteration(mdp, 2, seed=3)[0])
+
+
 # ------------------------------------------------------------------- export
 
 def test_export_roundtrip_and_columns(tmp_path):
@@ -286,6 +344,15 @@ def test_export_reads_a_vector_as_1d_actions(tmp_path):
     header, data = load_landscape_csv(tmp_path / "v.csv")
     assert header == ["a0", "q"]
     assert np.array_equal(data, [[0.1, 1.0], [0.2, 2.0]])
+
+
+def test_export_roundtrips_zero_rows(tmp_path):
+    for actions in [np.zeros((0, 2)), np.zeros(0)]:
+        path = tmp_path / "empty.csv"
+        export_landscape(path, actions, np.zeros(0), [np.zeros(0)])
+        header, data = load_landscape_csv(path)
+        assert data.shape == (0, len(header))
+        assert len(header) == (actions.shape[1] if actions.ndim == 2 else 1) + 2
 
 
 def test_export_rejects_columns_of_another_length(tmp_path):

@@ -23,6 +23,8 @@ from savo.envs import (
 )
 from savo.envs.mining import BREAK, DOWN, RIGHT
 
+from loop_oracles import EagerLandscape
+
 
 # ------------------------------------------------------------- restriction
 
@@ -393,6 +395,66 @@ def test_bandit_value_accepts_nested_lists():
 def test_bandit_value_rejects_rows_of_the_wrong_length():
     with pytest.raises(ValueError):
         canonical_adversarial().value(np.array([0.1, 0.2]))  # two 1-D actions, not one row
+
+
+def _bump_params(rng, dim, m):
+    return dict(
+        low=-np.ones(dim),
+        high=np.ones(dim),
+        centers=rng.uniform(-0.95, 0.95, size=(m, dim)),
+        heights=rng.uniform(-0.2, 1.0, size=m),
+        widths=rng.uniform(0.02, 0.5, size=m),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bandit_value_matches_loop_oracle(dim):
+    rng = np.random.default_rng(40 + dim)
+    for n_rows in [0, 1, 2, 7, 300]:
+        params = _bump_params(rng, dim, int(rng.integers(1, 9)))
+        rows = rng.uniform(-1.5, 1.5, size=(n_rows, dim))
+        assert np.array_equal(BanditLandscape(**params).value(rows), EagerLandscape(**params).value(rows))
+
+
+def test_bandit_scan_matches_eager_grid_oracle():
+    rng = np.random.default_rng(44)
+    adversarial = canonical_adversarial()
+    landscapes = [{f: getattr(adversarial, f) for f in ("low", "high", "centers", "heights", "widths")}]
+    landscapes += [_bump_params(rng, 1 + i % 2, int(rng.integers(1, 9))) for i in range(12)]
+    # two equal peaks: the scan must keep the first in grid order
+    landscapes.append(dict(low=[-1.0, -1.0], high=[1.0, 1.0], centers=[[0.5, -0.5], [-0.5, 0.5]],
+                           heights=[1.0, 1.0], widths=[0.2, 0.2]))
+    for params in landscapes:
+        got, want = BanditLandscape(**params), EagerLandscape(**params)
+        assert got.argmax.shape == want.argmax.shape == (got.dim,)
+        assert np.array_equal(got.argmax, want.argmax)
+        assert got.max_value == want.max_value
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"centers": [[0.1, 0.2]]},  # a 2-D center on a 1-D box
+        {"heights": [1.0, 0.5]},  # two heights for one center
+        {"widths": [0.2, 0.2]},
+        {"centers": np.zeros((0, 1)), "heights": [], "widths": []},
+        {"low": [1.0], "high": [-1.0]},
+        {"low": [0.0], "high": [0.0]},
+        {"low": [-1.0, -1.0]},  # low and high of different lengths
+        {"widths": [0.0]},
+        {"widths": [-0.1]},
+        {"centers": [[np.nan]]},
+        {"heights": [np.inf]},
+        {"high": [np.inf]},
+        # a 3-D box would scan 301**3 points: refused before the scan
+        {"low": -np.ones(3), "high": np.ones(3), "centers": np.zeros((1, 3))},
+        {"low": [[-1.0]], "high": [[1.0]]},
+    ],
+)
+def test_bandit_landscape_rejects_bad_parameters(change):
+    params = dict(low=[-1.0], high=[1.0], centers=[[0.4]], heights=[1.0], widths=[0.2])
+    with pytest.raises(ValueError):
+        BanditLandscape(**{**params, **change})
 
 
 def test_bandit_env_clamps_and_terminates():
