@@ -25,6 +25,11 @@ class TabularMDP:
         s, a, s2 = self.transition.shape
         if s != s2 or self.reward.shape != (s, a):
             raise ValueError("transition must be (S, A, S) with matching rewards")
+        if not np.isfinite(self.reward).all():
+            raise ValueError("rewards must be finite")
+        # nan fails this comparison, and an inf entry fails the row sums below
+        if not self.transition.min() >= 0.0:
+            raise ValueError("transition entries must be non-negative numbers")
         sums = self.transition.sum(axis=2)
         if np.max(np.abs(sums - 1.0)) > 1e-12:
             raise ValueError("transition rows must sum to 1 within 1e-12")
@@ -51,15 +56,28 @@ def random_mdp(
 
 
 def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 1_000_000) -> np.ndarray:
-    """Iterates the optimality backup until the Bellman residual is below tol."""
+    """Optimal values by optimality backups, stopped on the MacQueen–Porteus
+    span bound (Puterman, Markov Decision Processes, 1994, §6.6.3).
+
+    After each backup Tv, with d = Tv - v, the optimum lies between
+    Tv + γ/(1-γ)·min d and Tv + γ/(1-γ)·max d. Once γ·(max d - min d) < tol
+    this returns the midpoint, v' = Tv + γ/(1-γ)·(max d + min d)/2. Its
+    Bellman residual is at most γ·(max d - min d)/2 < tol/2: T(Tv) - Tv lies
+    in [γ·min d, γ·max d] and v' shifts Tv by a constant, so
+    Tv' - v' = T(Tv) - Tv - γ·(max d + min d)/2. The span shrinks at least
+    as fast as γ^n, often much faster, so this stops well before a stop on
+    max |d| would. Raises ``ConvergenceError`` after ``max_iter`` backups.
+    """
     v = np.zeros(mdp.n_states)
     for _ in range(max_iter):
         q = mdp.reward + mdp.gamma * mdp.transition @ v
         v_next = q.max(axis=1)
-        if np.max(np.abs(v_next - v)) < tol:
-            return v_next
+        d = v_next - v
+        lo, hi = d.min(), d.max()
+        if mdp.gamma * (hi - lo) < tol:
+            return v_next + mdp.gamma / (1.0 - mdp.gamma) * (0.5 * (hi + lo))
         v = v_next
-    raise ConvergenceError("value iteration did not reach the residual tolerance")
+    raise ConvergenceError("value iteration did not reach the span tolerance")
 
 
 def bellman_residual(mdp: TabularMDP, v: np.ndarray) -> float:

@@ -16,14 +16,65 @@ from .base import Env
 # Points per axis of the grid that `BanditLandscape` scans for its argmax.
 _SCAN_POINTS_1D = 10_001
 _SCAN_POINTS_ND = 301
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _margin_2d(heights: np.ndarray) -> float:
+    """A bound E on |screen - exact| at one cell of a 2-D landscape.
+
+    ``exact`` is the value ``_mixture`` computes; ``screen`` is the rank-M
+    product of ``BanditLandscape._screen``. Both start from the same floats
+    X, Y (the squared offsets) and s = 2 w^2, so measure both against the
+    real sum of h_b exp(-a_b), with a_b = (X_b + Y_b) / s_b >= 0. Let
+    u = eps/2. Assume numpy's float64 ``exp`` errs by at most 2 ulp (numpy's
+    own accuracy tests hold it to 1 ulp), that is by at most 4u exp(t), plus
+    2 tiny below the normal range. To first order in u:
+
+    - rounding the exponent moves it to a_b (1 + theta), and the term by
+      |h_b| a_b |theta| e^(-a_b) <= |h_b| |theta| / e, as a e^(-a) <= 1/e.
+      ``_mixture`` rounds the sum X + Y and the division, |theta| <= 2u; the
+      screen rounds X / s and Y / s, whose errors add to at most u a_b;
+    - ``exact``: ``exp`` 4u, the product with h_b u, per term of size
+      |h_b|; the running sum of M terms (M - 1) u sum |h_b|. In all at most
+      (M + 4 + 2/e) u sum |h_b|;
+    - ``screen``: ``exp`` 4u per factor, the product with h_b u; the
+      length-M product of the factors, in any summation order, with or
+      without FMA, at most M u sum |h_b| (Higham, Accuracy and Stability of
+      Numerical Algorithms, ch. 3). In all at most (M + 9 + 1/e) u sum |h_b|;
+    - so |screen - exact| <= (2M + 13 + 3/e) u sum |h_b|
+      = (M + 6.5 + 1.5/e) eps sum |h_b|, and rounding the threshold
+      ``max - 2E`` costs u |max| <= 0.5 eps sum |h_b| more.
+
+    The code uses E = (M + 10) eps sum |h_b|, which covers all of that, the
+    second-order terms and the rounding of E. The bound is absolute, not
+    relative to the max: heights may be negative and the max near 0. Below
+    the normal range the relative bounds fail, and each rounding errs by at
+    most tiny/2 instead: about 3M products in all, which the 2M tiny term
+    covers (the |h_b| tiny parts are far below eps |h_b|). If sum |h_b|
+    overflows, E is inf and the shortlist keeps every cell.
+
+    Why 2E suffices: let x be a cell where ``exact`` is largest. Its screen
+    value is at least exact(x) - E, and every screen value is at most its
+    own exact value + E <= exact(x) + E. So x lies within 2E of the
+    screen's max, and the shortlist keeps every exact maximum.
+    """
+    return (len(heights) + 10) * _EPS * float(np.sum(np.abs(heights))) + 2.0 * len(heights) * _TINY
 
 
 @dataclass
 class BanditLandscape:
     """Mixture of Gaussian bumps on a 1-D or 2-D box.
 
-    ``argmax`` and ``max_value`` come from a scan of an evenly spaced grid over
-    the box. Raises ``ValueError``, before the scan, unless ``centers`` is
+    ``argmax`` and ``max_value`` are the first maximum, in C order, of the
+    mixture over an evenly spaced grid on the box (10,001 points in 1-D, 301
+    per axis in 2-D), found in two passes. A screen (``_screen``) scores every
+    cell: in 1-D it is ``_mixture`` itself, in 2-D a rank-M matrix product
+    within E of ``_mixture`` (``_margin_2d``). Every cell whose screen value
+    lies within 2E of the screen's max is then scored with ``_mixture``, and
+    the first exact max of that shortlist is the first max of the whole grid,
+    bit for bit, so the values equal those of a ``_mixture`` scan of every
+    cell. Raises ``ValueError``, before the scan, unless ``centers`` is
     ``(M, D)`` with ``D = len(low) = len(high)`` in {1, 2}, ``heights`` and
     ``widths`` are ``(M,)`` with ``M >= 1``, every value is finite, every width
     is positive and ``low < high`` on each axis.
@@ -45,10 +96,16 @@ class BanditLandscape:
         self.widths = np.atleast_1d(np.asarray(self.widths, dtype=np.float64))
         self._validate()
         axes = self._axes(_SCAN_POINTS_1D if self.dim == 1 else _SCAN_POINTS_ND)
-        values = self._mixture(np.ix_(*axes))
-        best = np.unravel_index(int(np.argmax(values)), values.shape)
-        self.argmax = np.array([axis[i] for axis, i in zip(axes, best)])
-        self.max_value = float(values[best])
+        screen, margin = self._screen(axes)
+        flat = screen.ravel()
+        # ``not <`` keeps nan: a nan screen value, or an inf margin, keeps every cell
+        shortlist = np.flatnonzero(~(flat < flat.max() - 2.0 * margin))
+        coords = [axis[i] for axis, i in zip(axes, np.unravel_index(shortlist, screen.shape))]
+        # with E = 0 the screen is exact already
+        exact = flat[shortlist] if margin == 0.0 else self._mixture(coords)
+        best = int(np.argmax(exact))
+        self.argmax = np.array([x[best] for x in coords])
+        self.max_value = float(exact[best])
 
     def _validate(self) -> None:
         if self.low.ndim != 1 or self.high.shape != self.low.shape or self.dim not in (1, 2):
@@ -64,11 +121,11 @@ class BanditLandscape:
                 f"heights and widths must be ({m},), got shapes {self.heights.shape} and {self.widths.shape}"
             )
         for name in ("low", "high", "centers", "heights", "widths"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if not np.all(self.widths > 0.0):
+        if not (self.widths > 0.0).all():
             raise ValueError("widths must be positive")
-        if not np.all(self.low < self.high):
+        if not (self.low < self.high).all():
             raise ValueError("low must lie below high on every axis")
 
     @property
@@ -104,6 +161,27 @@ class BanditLandscape:
             d2 *= h
             out += d2
         return out
+
+    def _screen(self, axes: list[np.ndarray]) -> tuple[np.ndarray, float]:
+        """A screen of the mixture over the grid spanned by ``axes``, and a
+        bound E on |screen value - ``_mixture`` value| at any one cell.
+
+        In 1-D the screen is ``_mixture`` itself, with E = 0. In 2-D each bump
+        factorises over the axes, exp(-(X + Y) / s) = exp(-X / s) exp(-Y / s),
+        so on the grid the mixture is a rank-M product: one bump-major (M, n)
+        factor of exp terms per axis, the x factor scaled by the heights, and
+        one (n, M) @ (M, n) product. X and Y are the squared offsets and
+        s = 2 w^2, computed as ``_mixture`` computes them, so both forms share
+        those floats, and ``_margin_2d`` bounds what the rest of each adds.
+        """
+        if self.dim == 1:
+            return self._mixture(axes), 0.0
+        scale = -(2.0 * self.widths * self.widths)[:, None]
+        fx, fy = (np.square(axis - c[:, None]) / scale for axis, c in zip(axes, self.centers.T))
+        np.exp(fx, out=fx)
+        np.exp(fy, out=fy)
+        fx *= self.heights[:, None]
+        return fx.T @ fy, _margin_2d(self.heights)
 
     def value(self, actions: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(actions, dtype=np.float64))

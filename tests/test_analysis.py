@@ -20,7 +20,7 @@ from savo.analysis.mdp import (
 )
 from savo.envs import random_landscape
 
-from loop_oracles import loop_policy_iteration
+from loop_oracles import loop_policy_iteration, loop_value_iteration
 
 
 # ---------------------------------------------------------- optima counting
@@ -213,6 +213,60 @@ def test_transition_row_sums_validated():
     bad = np.ones((2, 2, 2)) * 0.6
     with pytest.raises(ValueError):
         TabularMDP(transition=bad, reward=np.zeros((2, 2)), gamma=0.9)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 0.99])
+def test_value_iteration_span_stop_matches_the_residual_stop(gamma):
+    tol = 1e-10
+    for seed in range(3):
+        mdp = random_mdp(np.random.default_rng(90 + seed), n_states=15, n_actions=6, gamma=gamma)
+        v = value_iteration(mdp, tol=tol)
+        assert bellman_residual(mdp, v) < tol
+        assert np.max(np.abs(v - loop_value_iteration(mdp, tol=tol))) <= 2.0 * tol / (1.0 - gamma)
+
+
+def test_value_iteration_raises_after_max_iter_backups():
+    # a deterministic 2-cycle: the span of Tv - v after n backups is gamma^(n - 1)
+    transition = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
+    reward = np.array([[1.0], [0.0]])
+    with pytest.raises(ConvergenceError):
+        value_iteration(TabularMDP(transition, reward, gamma=0.99), max_iter=5)
+    # at gamma = 1/2 the spans are exact: 2^-34 is the first gamma * span below 1e-10
+    mdp = TabularMDP(transition, reward, gamma=0.5)
+    with pytest.raises(ConvergenceError):
+        value_iteration(mdp, max_iter=33)
+    v = value_iteration(mdp, max_iter=34)
+    assert bellman_residual(mdp, v) <= 0.5e-10  # the midpoint's certificate, gamma * span / 2
+
+
+def test_value_iteration_stops_within_40_backups_at_the_workload_shape():
+    mdp = random_mdp(np.random.default_rng(6), n_states=60, n_actions=20)
+    v = value_iteration(mdp, max_iter=40)
+    assert bellman_residual(mdp, v) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "field, index, bad",
+    [
+        ("reward", (2, 1), np.nan),
+        ("reward", (2, 1), np.inf),
+        ("reward", (0, 0), -np.inf),
+        ("transition", (1, 2, 3), np.nan),
+        ("transition", (1, 2, 3), np.inf),
+    ],
+)
+def test_tabular_mdp_rejects_non_finite_entries(field, index, bad):
+    mdp = random_mdp(np.random.default_rng(7), n_states=5, n_actions=4)
+    arrays = {"transition": mdp.transition.copy(), "reward": mdp.reward.copy()}
+    arrays[field][index] = bad
+    with pytest.raises(ValueError):
+        TabularMDP(**arrays, gamma=0.9)
+
+
+def test_tabular_mdp_rejects_negative_transition_entries():
+    transition = np.array([[[1.5, -0.5, 0.0]] * 2] * 3)  # each row sums to 1
+    with pytest.raises(ValueError):
+        TabularMDP(transition=transition, reward=np.zeros((3, 2)), gamma=0.9)
 
 
 def test_policy_evaluation_matches_iterative():

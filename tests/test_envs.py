@@ -431,6 +431,96 @@ def test_bandit_scan_matches_eager_grid_oracle():
         assert got.max_value == want.max_value
 
 
+def _assert_scan_matches_eager(params):
+    got, want = BanditLandscape(**params), EagerLandscape(**params)
+    assert got.argmax.shape == want.argmax.shape == (got.dim,)
+    assert np.array_equal(got.argmax, want.argmax)
+    assert got.max_value == want.max_value
+    return got
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bandit_screen_matches_eager_scan_on_random_draws(dim):
+    rng = np.random.default_rng(50 + dim)
+    for _ in range(50):
+        m = int(rng.integers(1, 9))
+        _assert_scan_matches_eager(dict(
+            low=-np.ones(dim),
+            high=np.ones(dim),
+            centers=rng.uniform(-0.95, 0.95, size=(m, dim)),
+            heights=rng.uniform(-0.5, 1.0, size=m),
+            # down to 0.01: in 2-D, peaks narrower than the grid spacing of 2/300
+            widths=np.exp(rng.uniform(np.log(0.01), np.log(0.6), size=m)),
+        ))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # integer grids, so mirrored cells hold equal values bit for bit
+        dict(low=[0.0], high=[10_000.0], centers=[[2500.0], [7500.0]], heights=[1.0, 1.0], widths=[300.0, 300.0]),
+        dict(low=[0.0], high=[10_000.0], centers=[[4999.5]], heights=[1.0], widths=[3.0]),
+        dict(low=[0.0, 0.0], high=[300.0, 300.0], centers=[[100.0, 150.0], [200.0, 150.0]],
+             heights=[0.7, 0.7], widths=[30.0, 30.0]),
+        dict(low=[0.0, 0.0], high=[300.0, 300.0], centers=[[100.5, 200.5]], heights=[1.0], widths=[0.4]),
+        dict(low=[0.0, 0.0], high=[300.0, 300.0], centers=[[60.0, 60.0], [240.0, 60.0], [60.0, 240.0], [240.0, 240.0]],
+             heights=[0.5, 0.5, 0.5, 0.5], widths=[20.0, 20.0, 20.0, 20.0]),
+        # swapping the axes of a square box mirrors the cells exactly
+        dict(low=[-1.0, -1.0], high=[1.0, 1.0], centers=[[0.3, -0.6], [-0.6, 0.3]], heights=[0.9, 0.9],
+             widths=[0.05, 0.05]),
+    ],
+    ids=["1d-mirror", "1d-midpoint", "2d-mirror", "2d-four-cell-tie", "2d-four-mirrors", "2d-swapped-axes"],
+)
+def test_bandit_screen_keeps_the_first_of_exact_ties(params):
+    got = _assert_scan_matches_eager(params)
+    axes = got._axes(10_001 if got.dim == 1 else 301)
+    values = got._mixture(np.ix_(*axes)).ravel()
+    assert np.sum(values == got.max_value) >= 2  # the tie is real
+    assert np.flatnonzero(values == got.max_value)[0] == np.argmax(values)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bandit_screen_matches_eager_scan_with_all_negative_heights(dim):
+    rng = np.random.default_rng(60 + dim)
+    for m in (1, 3, 8):
+        _assert_scan_matches_eager(dict(
+            low=-np.ones(dim),
+            high=np.ones(dim),
+            centers=rng.uniform(-0.95, 0.95, size=(m, dim)),
+            heights=rng.uniform(-1.0, -0.1, size=m),
+            widths=rng.uniform(0.05, 0.6, size=m),
+        ))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bandit_screen_matches_eager_scan_with_a_bump_on_a_grid_node(dim):
+    axis = np.linspace(-1.0, 1.0, 10_001 if dim == 1 else 301)
+    on_node = [[axis[120], axis[77]][:dim], [0.5, 0.25][:dim]]
+    _assert_scan_matches_eager(dict(low=-np.ones(dim), high=np.ones(dim), centers=on_node, heights=[1.0, 0.999],
+                                    widths=[0.01, 0.2]))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bandit_screen_matches_eager_scan_with_scaled_heights(dim, scale):
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(5):
+        params = _bump_params(rng, dim, int(rng.integers(1, 9)))
+        _assert_scan_matches_eager({**params, "heights": params["heights"] * scale})
+
+
+def test_bandit_screen_lies_within_its_margin_of_the_exact_mixture():
+    """The margin's proof, checked on a grid: the 2-D screen errs by less than E."""
+    rng = np.random.default_rng(80)
+    for _ in range(20):
+        m = int(rng.integers(1, 9))
+        land = BanditLandscape(**{**_bump_params(rng, 2, m), "heights": rng.uniform(-0.5, 1.0, size=m)
+                                  * 10.0 ** rng.integers(-6, 4)})
+        axes = land._axes(301)
+        screen, margin = land._screen(axes)
+        assert np.max(np.abs(screen - land._mixture(np.ix_(*axes)))) <= margin
+
+
 @pytest.mark.parametrize(
     "change",
     [
