@@ -32,10 +32,8 @@ indices, for callers that index ``reps`` with them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -235,29 +233,3 @@ def gmm_sample_table(
     reps = center_mat[assignment] + component_std * rng.standard_normal((n_actions, dim))
     return ActionTable(reps=reps, categories=assignment.astype(np.int64))
 
-
-def save_table_csv(table: ActionTable, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "category"] + [f"d{i}" for i in range(table.dim)])
-        cats = table.categories if table.categories is not None else [-1] * len(table)
-        for i, action_id in enumerate(table.ids):
-            writer.writerow(
-                [action_id, int(cats[i])] + [f"{v:.17g}" for v in table.reps[i]]
-            )
-
-
-def load_table_csv(path) -> ActionTable:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 2
-        ids, cats, rows = [], [], []
-        for row in reader:
-            ids.append(int(row[0]))
-            cats.append(int(row[1]))
-            rows.append([float(v) for v in row[2 : 2 + dim]])
-    categories = None if all(c == -1 for c in cats) else np.asarray(cats, dtype=np.int64)
-    return ActionTable(reps=np.asarray(rows), ids=ids, categories=categories)

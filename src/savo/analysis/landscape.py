@@ -22,9 +22,6 @@ counts as a single optimum.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-
 import numpy as np
 
 
@@ -92,45 +89,3 @@ def suboptimality_gap(grid_values: np.ndarray, q_at_action: float) -> float:
     """Grid-max value minus the value at the actor's action (raw, unclamped)."""
     return float(np.max(grid_values) - q_at_action)
 
-
-def export_landscape(
-    path,
-    actions: np.ndarray,
-    q_values: np.ndarray,
-    exact_surrogates: list[np.ndarray] = (),
-    learned_surrogates: list[np.ndarray] = (),
-) -> None:
-    """CSV dump: action coords, q, then exact and learned surrogate columns.
-
-    ``actions`` is ``(N,)`` for N 1-D actions or ``(N, D)`` for N rows; q and
-    every surrogate must hold N values, else ``ValueError`` is raised before
-    the file is opened.
-    """
-    actions = np.asarray(actions, dtype=np.float64)
-    if actions.ndim == 1:
-        actions = actions[:, None]
-    if actions.ndim != 2:
-        raise ValueError(f"actions must be (N,) or (N, D), got shape {actions.shape}")
-    n, dim = actions.shape
-    header = [f"a{i}" for i in range(dim)] + ["q"]
-    header += [f"psi_{i + 1}" for i in range(len(exact_surrogates))]
-    header += [f"psi_hat_{i + 1}" for i in range(len(learned_surrogates))]
-    values = [np.asarray(c) for c in (q_values, *exact_surrogates, *learned_surrogates)]
-    for name, column in zip(header[dim:], values):
-        if column.shape != (n,):
-            raise ValueError(f"column {name} has shape {column.shape}, expected ({n},)")
-    columns = [actions[:, i] for i in range(dim)] + values
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
-def load_landscape_csv(path) -> tuple[list[str], np.ndarray]:
-    """The header and an ``(N, len(header))`` array of the rows; N may be 0."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return header, np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))

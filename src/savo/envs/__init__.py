@@ -1,4 +1,4 @@
-from .base import Env, log_episode
+from .base import Env
 from .bandit import BanditEnv, BanditLandscape, canonical_adversarial, random_landscape
 from .mining import MiningConfig, MiningEnv, make_tool_map, mining_action_table
 from .pendulum import (
@@ -12,27 +12,15 @@ from .recsim import RecsimConfig, RecsimEnv, recsim_action_table
 
 
 def make_env(env_id: str, seed: int = 0, **params) -> Env:
-    """Build an environment from a config-style id plus keyword parameters."""
+    """Build an environment from its id plus typed keyword parameters."""
     if env_id == "pendulum":
-        restriction = params.pop("restriction", None)
-        if restriction == "canonical":
-            restriction = CANONICAL_RESTRICTION
-        elif isinstance(restriction, dict):
-            restriction = RestrictionSpec(**restriction)
-        return CartPoleEnv(restriction=restriction, seed=seed, **params)
+        return CartPoleEnv(seed=seed, **params)
     if env_id == "mining":
-        cfg = MiningConfig(**params) if params else None
-        return MiningEnv(config=cfg, seed=seed)
+        return MiningEnv(config=MiningConfig(**params), seed=seed)
     if env_id == "recsim":
-        cfg = RecsimConfig(**params) if params else None
-        return RecsimEnv(config=cfg, seed=seed)
+        return RecsimEnv(config=RecsimConfig(**params), seed=seed)
     if env_id == "bandit":
-        landscape = params.pop("landscape", None)
-        if landscape is None or landscape == "canonical":
-            landscape = canonical_adversarial()
-        elif isinstance(landscape, dict):
-            landscape = BanditLandscape(**landscape)
-        return BanditEnv(landscape=landscape, seed=seed)
+        return BanditEnv(seed=seed, **params)
     raise ValueError(f"unknown env id {env_id!r}")
 
 
@@ -49,7 +37,6 @@ __all__ = [
     "RestrictionSpec",
     "canonical_adversarial",
     "check_valid",
-    "log_episode",
     "make_env",
     "make_tool_map",
     "mining_action_table",

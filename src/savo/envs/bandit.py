@@ -7,6 +7,7 @@ actor architecture climbs a known multi-peaked surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +78,7 @@ class BanditLandscape:
     cell. Raises ``ValueError``, before the scan, unless ``centers`` is
     ``(M, D)`` with ``D = len(low) = len(high)`` in {1, 2}, ``heights`` and
     ``widths`` are ``(M,)`` with ``M >= 1``, every value is finite, every width
-    is positive and ``low < high`` on each axis.
+    is positive with ``2 w^2 > 0`` in float64, and ``low < high`` on each axis.
     """
 
     low: np.ndarray
@@ -125,6 +126,9 @@ class BanditLandscape:
                 raise ValueError(f"{name} must be finite")
         if not (self.widths > 0.0).all():
             raise ValueError("widths must be positive")
+        # the divisor of ``_mixture`` and ``_screen``: 0 there makes 0 / -0 = nan at a centre
+        if not (2.0 * self.widths * self.widths > 0.0).all():
+            raise ValueError("widths must be large enough that 2 w^2 does not underflow to 0")
         if not (self.low < self.high).all():
             raise ValueError("low must lie below high on every axis")
 
@@ -243,9 +247,8 @@ class BanditEnv(Env):
         return np.zeros(1)
 
     def step(self, action):
-        a = np.clip(
-            np.atleast_1d(np.asarray(action, dtype=np.float64)),
-            self.landscape.low,
-            self.landscape.high,
-        )
+        a = np.atleast_1d(np.asarray(action, dtype=np.float64))
+        if not all(map(math.isfinite, a.ravel().tolist())):
+            raise ValueError(f"action must be finite, got {action!r}")
+        a = np.clip(a, self.landscape.low, self.landscape.high)
         return np.zeros(1), self.landscape.value_at(a), True, {}

@@ -1,9 +1,6 @@
-"""Common environment surface and episode logging."""
+"""Common environment surface."""
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -11,7 +8,8 @@ import numpy as np
 class Env:
     """Seeded, single-threaded episode environment.
 
-    Continuous envs consume action vectors inside ``action_low/high``;
+    Continuous envs consume action vectors inside ``action_low/high`` and
+    raise ``ValueError`` on a non-finite one before any state changes;
     discrete envs consume integer ids into their ``action_table``.
     """
 
@@ -25,27 +23,3 @@ class Env:
     def step(self, action):
         raise NotImplementedError
 
-
-def log_episode(env: Env, policy_fn, path, seed: int | None = None) -> float:
-    """Roll one episode, appending JSONL rows (t, obs, action, reward, done)."""
-    path = Path(path)
-    obs = env.reset(seed=seed)
-    total = 0.0
-    done = False
-    t = 0
-    with path.open("a") as fh:
-        while not done:
-            action = policy_fn(obs)
-            next_obs, reward, done, _ = env.step(action)
-            row = {
-                "t": t,
-                "obs": np.asarray(obs, dtype=float).tolist(),
-                "action": int(action) if np.isscalar(action) else np.asarray(action, dtype=float).tolist(),
-                "reward": float(reward),
-                "done": bool(done),
-            }
-            fh.write(json.dumps(row) + "\n")
-            total += reward
-            obs = next_obs
-            t += 1
-    return total

@@ -9,7 +9,8 @@ surface multi-peaked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,7 +122,10 @@ class CartPoleEnv(Env):
         return self._state / self._obs_scale
 
     def step(self, action):
-        a = np.clip(np.atleast_1d(np.asarray(action, dtype=np.float64)), -1.0, 1.0)
+        a = np.atleast_1d(np.asarray(action, dtype=np.float64))
+        if not math.isfinite(a[0]):
+            raise ValueError(f"action must be finite, got {action!r}")
+        a = np.clip(a, -1.0, 1.0)
         if self.restriction is not None and not check_valid(a, self.restriction):
             a = self.restriction.replacement
         x, x_dot, theta, theta_dot = self._state

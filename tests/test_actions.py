@@ -8,10 +8,8 @@ from savo.actions import (
     ActionTableError,
     gmm_sample_table,
     knn,
-    load_table_csv,
     nearest,
     nearest_rows,
-    save_table_csv,
 )
 from savo.envs import RecsimConfig, recsim_action_table
 
@@ -298,25 +296,3 @@ def test_gmm_component_means_near_centers():
         # 3 sigma of the mean estimator
         bound = 3.0 * 0.15 / np.sqrt(n)
         assert np.all(np.abs(sample_mean - centers[c]) < bound)
-
-
-def test_csv_roundtrip_is_exact(tmp_path):
-    t = gmm_sample_table(seed=21, n_actions=64, centers=3, dim=4)
-    path = tmp_path / "table.csv"
-    save_table_csv(t, path)
-    back = load_table_csv(path)
-    assert back.ids == t.ids
-    assert np.array_equal(back.reps, t.reps)
-    assert np.array_equal(back.categories, t.categories)
-
-
-def test_csv_reloaded_table_retrieves_same_ids(tmp_path):
-    t = gmm_sample_table(seed=22, n_actions=128, centers=4, dim=3)
-    path = tmp_path / "table.csv"
-    save_table_csv(t, path)
-    back = load_table_csv(path)
-    queries = np.random.default_rng(23).standard_normal((40, 3))
-    assert np.array_equal(nearest_rows(queries, back), nearest_rows(queries, t))
-    for q in queries:
-        assert knn(q, back, 6) == knn(q, t, 6)
-        assert nearest(q, back) == nearest(q, t)

@@ -3,8 +3,6 @@ import pytest
 
 from savo.analysis.landscape import (
     count_local_optima,
-    export_landscape,
-    load_landscape_csv,
     suboptimality_gap,
     surrogate_optima_profile,
     surrogate_values,
@@ -369,58 +367,3 @@ def test_maximizer_pi_takes_numpy_integer_k():
     mdp = random_mdp(np.random.default_rng(1), n_states=6, n_actions=5)
     got = maximizer_policy_iteration(mdp, np.int64(2), seed=3)
     assert np.array_equal(got[0], maximizer_policy_iteration(mdp, 2, seed=3)[0])
-
-
-# ------------------------------------------------------------------- export
-
-def test_export_roundtrip_and_columns(tmp_path):
-    rng = np.random.default_rng(8)
-    actions = np.linspace(-1, 1, 21)[:, None]
-    q = rng.standard_normal(21)
-    psi = [np.maximum(q, 0.1), np.maximum(q, 0.4)]
-    psi_hat = [q + 0.01, q + 0.02]
-    path = tmp_path / "landscape.csv"
-    export_landscape(path, actions, q, psi, psi_hat)
-    header, data = load_landscape_csv(path)
-    assert header == ["a0", "q", "psi_1", "psi_2", "psi_hat_1", "psi_hat_2"]
-    assert len(header) == 1 + 1 + 2 * 2
-    assert np.allclose(data[:, 1], q, atol=1e-12)
-    assert np.allclose(data[:, 2], psi[0], atol=1e-12)
-
-    # header stability across writes
-    export_landscape(tmp_path / "l2.csv", actions, q, psi, psi_hat)
-    header2, _ = load_landscape_csv(tmp_path / "l2.csv")
-    assert header2 == header
-
-
-def test_export_reads_a_vector_as_1d_actions(tmp_path):
-    export_landscape(tmp_path / "v.csv", [0.1, 0.2], [1.0, 2.0])
-    header, data = load_landscape_csv(tmp_path / "v.csv")
-    assert header == ["a0", "q"]
-    assert np.array_equal(data, [[0.1, 1.0], [0.2, 2.0]])
-
-
-def test_export_roundtrips_zero_rows(tmp_path):
-    for actions in [np.zeros((0, 2)), np.zeros(0)]:
-        path = tmp_path / "empty.csv"
-        export_landscape(path, actions, np.zeros(0), [np.zeros(0)])
-        header, data = load_landscape_csv(path)
-        assert data.shape == (0, len(header))
-        assert len(header) == (actions.shape[1] if actions.ndim == 2 else 1) + 2
-
-
-def test_export_rejects_columns_of_another_length(tmp_path):
-    actions = np.linspace(-1, 1, 5)
-    q = np.arange(5.0)
-    bad_calls = [
-        (actions, q[:3], (), ()),
-        (actions, q, [q[:4]], ()),
-        (actions, q, [q], [q, np.arange(6.0)]),
-        (actions[:, None], q[:, None], (), ()),
-        (np.zeros((5, 2, 1)), q, (), ()),
-    ]
-    for i, (a, qv, exact, learned) in enumerate(bad_calls):
-        path = tmp_path / f"bad{i}.csv"
-        with pytest.raises(ValueError):
-            export_landscape(path, a, qv, exact, learned)
-        assert not path.exists()

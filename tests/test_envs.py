@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,10 @@ from savo.envs import (
     RestrictionSpec,
     canonical_adversarial,
     check_valid,
-    log_episode,
     make_env,
     make_tool_map,
     mining_action_table,
+    random_landscape,
     sample_restriction,
 )
 from savo.envs.mining import BREAK, DOWN, RIGHT
@@ -539,6 +537,8 @@ def test_bandit_screen_lies_within_its_margin_of_the_exact_mixture():
         # a 3-D box would scan 301**3 points: refused before the scan
         {"low": -np.ones(3), "high": np.ones(3), "centers": np.zeros((1, 3))},
         {"low": [[-1.0]], "high": [[1.0]]},
+        {"widths": [1e-200]},  # 2 w^2 underflows to 0: the mixture would be 0 / -0 = nan
+        {"low": [-1.0, -1.0], "high": [1.0, 1.0], "centers": [[0.0, 0.0]], "widths": [1e-200]},
     ],
 )
 def test_bandit_landscape_rejects_bad_parameters(change):
@@ -555,6 +555,21 @@ def test_bandit_env_clamps_and_terminates():
     _, r_edge, _, _ = env.step(np.array([1.0]))
     assert done
     assert r_out == pytest.approx(r_edge)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_continuous_envs_reject_non_finite_actions_before_any_change(bad):
+    bandit = BanditEnv(seed=0)
+    bandit.reset(seed=0)
+    with pytest.raises(ValueError):
+        bandit.step(np.array([bad]))
+    cart = CartPoleEnv(seed=0)
+    cart.reset(seed=1)
+    cart.step(np.array([0.2]))
+    state, t = cart._state.copy(), cart._t
+    with pytest.raises(ValueError):
+        cart.step(np.array([bad]))
+    assert np.array_equal(cart._state, state) and cart._t == t
 
 
 def test_bandit_gradient_matches_finite_differences():
@@ -574,18 +589,9 @@ def test_make_env_ids():
     assert isinstance(make_env("mining", seed=0), MiningEnv)
     assert isinstance(make_env("recsim", seed=0, n_items=10, n_categories=3), RecsimEnv)
     assert isinstance(make_env("bandit", seed=0), BanditEnv)
-    env = make_env("pendulum", seed=0, restriction="canonical")
+    env = make_env("pendulum", seed=0, restriction=CANONICAL_RESTRICTION)
     assert env.restriction is CANONICAL_RESTRICTION
+    landscape = random_landscape(np.random.default_rng(4))
+    assert make_env("bandit", seed=0, landscape=landscape).landscape is landscape
     with pytest.raises(ValueError):
         make_env("nope")
-
-
-def test_log_episode_writes_jsonl(tmp_path):
-    env = CartPoleEnv(horizon=5, seed=0)
-    path = tmp_path / "episode.jsonl"
-    total = log_episode(env, lambda obs: np.array([0.0]), path, seed=2)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) >= 1
-    assert rows[-1]["done"] is True
-    assert {"t", "obs", "action", "reward", "done"} <= set(rows[0])
-    assert total == sum(r["reward"] for r in rows)

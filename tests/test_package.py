@@ -1,0 +1,37 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import savo.envs
+import savo.nn
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("module", [savo.nn, savo.envs])
+def test_every_public_name_resolves(module):
+    for name in module.__all__:
+        assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Importing the package pulls in no third-party module but numpy.
+
+    The child diffs ``sys.modules`` against its own start-up set, so modules
+    that site hooks preload before any import are not blamed on ``savo``.
+    """
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import savo, savo.nn, savo.envs, savo.actions, savo.analysis.landscape, savo.analysis.mdp\n"
+        "print('\\n'.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    loaded = out.stdout.split()
+    assert "savo" in loaded
+    assert [m for m in loaded if m not in {"numpy", "savo"} and m not in sys.stdlib_module_names] == []
