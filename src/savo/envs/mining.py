@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..actions import ActionTable
-from .base import Env
+from .base import Env, checked_id
 
 RIGHT, DOWN, LEFT, UP = 0, 1, 2, 3
 _DELTAS = {RIGHT: (1, 0), DOWN: (0, 1), LEFT: (-1, 0), UP: (0, -1)}
@@ -163,9 +163,7 @@ class MiningEnv(Env):
     # --- dynamics ---------------------------------------------------------
 
     def step(self, action_id: int):
-        action_id = int(action_id)
-        if not 0 <= action_id < self.config.n_actions:
-            raise ValueError(f"action id {action_id} out of range")
+        action_id = checked_id(action_id, self.config.n_actions)
         self._t += 1
         dist_before = self._distance()
         reward = 0.0

@@ -41,6 +41,8 @@ class RestrictionSpec:
             raise ValueError("need one radius per sphere center")
         if self.centers.shape[0] and np.any(self.radii <= 0.0):
             raise ValueError("sphere radii must be positive")
+        if not all(np.isfinite(x).all() for x in (self.centers, self.radii, self.replacement)):
+            raise ValueError("restriction centers, radii and replacement must be finite")
 
 
 def check_valid(action: np.ndarray, restriction: RestrictionSpec) -> bool:

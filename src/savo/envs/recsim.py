@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..actions import ActionTable, gmm_sample_table
-from .base import Env
+from .base import Env, checked_id
 
 
 @dataclass
@@ -66,9 +66,7 @@ class RecsimEnv(Env):
         return e_item / (e_item + np.exp(self.config.skip_score))
 
     def step(self, item_id: int):
-        item_id = int(item_id)
-        if not 0 <= item_id < len(self.action_table):
-            raise ValueError(f"item id {item_id} out of range")
+        item_id = checked_id(item_id, len(self.action_table))
         self._t += 1
         e_item = self.action_table.reps[item_id]
         p_click = self.click_probability(item_id)

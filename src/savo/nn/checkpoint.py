@@ -27,9 +27,10 @@ def save_arrays(path, arrays: list[np.ndarray], adam: AdamState | None = None) -
 def load_arrays(path, arrays: list[np.ndarray], adam: AdamState | None = None) -> None:
     """Load a checkpoint into existing arrays/state, in place.
 
-    Every stored array is read once and every shape checked before anything
-    is copied, so a checkpoint that does not fit raises ``ShapeError`` and
-    leaves the arrays, moments and step unchanged.
+    Every stored array is read once and every shape and dtype checked before
+    anything is copied, so a checkpoint that does not fit raises
+    ``ShapeError`` and leaves the arrays, moments and step unchanged; a
+    float64 checkpoint is never rounded into float32 arrays.
     """
     path = Path(path)
     with np.load(path) as data:
@@ -48,8 +49,8 @@ def load_arrays(path, arrays: list[np.ndarray], adam: AdamState | None = None) -
                 targets[f"m{i}"], targets[f"v{i}"] = adam.m[i], adam.v[i]
         stored = {key: data[key] for key in targets}
     for key, a in targets.items():
-        if stored[key].shape != a.shape:
-            raise ShapeError(f"stored {key} has shape {stored[key].shape}, expected {a.shape}")
+        if stored[key].shape != a.shape or stored[key].dtype != a.dtype:
+            raise ShapeError(f"stored {key} is {stored[key].dtype} {stored[key].shape}, expected {a.dtype} {a.shape}")
     for key, a in targets.items():
         a[:] = stored[key]
     if adam is not None:

@@ -1,11 +1,17 @@
 """Dense networks with hand-written forward/backward passes.
 
-Everything is float64. Networks are plain containers of weight arrays;
-forward passes are pure, backward passes consume a tape recorded by the
-matching forward call. No autodiff: the architectures used by the agent
-(MLP, FiLM-modulated MLP, deep-set summarizer) each carry their own
-analytic backward, checked against central finite differences in the
-test suite.
+Networks are plain containers of weight arrays; forward passes are pure,
+backward passes consume a tape recorded by the matching forward call. No
+autodiff: the architectures used by the agent (MLP, FiLM-modulated MLP,
+deep-set summarizer) each carry their own analytic backward, checked
+against central finite differences in the test suite.
+
+The dtype is the parameters' own, float32 or float64, with no switch:
+``create`` builds float32 networks (the float64 Xavier draws, rounded), and
+a network built from float64 arrays computes in float64. Inputs, upstream
+gradients and every intermediate take the parameters' dtype, so float64
+data never widens a float32 pass; Adam and Polyak update in place and so
+keep it too.
 
 One body per module: Mlp, DeepSetSummarizer and FilmGenerator each compute
 their forward pass in one private method. Their public entry points differ
@@ -31,17 +37,18 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """Inputs or parameter shapes do not line up."""
+    """Inputs or parameter shapes or dtypes do not line up."""
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(x: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, bool]:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim == 1:
         return x[None, :], True
     return x, False
 
 
 _ACTIVATIONS = ("linear", "relu", "tanh")
+_DTYPES = (np.float32, np.float64)
 
 
 @dataclass
@@ -57,6 +64,8 @@ class DenseLayer:
             raise ShapeError(f"unknown activation {self.activation!r}")
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[1],):
             raise ShapeError("dense layer weight/bias shapes inconsistent")
+        if self.weight.dtype != self.bias.dtype or self.weight.dtype not in _DTYPES:
+            raise ShapeError(f"dense layer dtypes {self.weight.dtype}/{self.bias.dtype}: need float32 or float64")
 
 
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,6 +77,8 @@ class Mlp:
     """Fully-connected stack with per-layer activation tags."""
 
     def __init__(self, layers: list[DenseLayer]):
+        if len({layer.weight.dtype for layer in layers}) > 1:
+            raise ShapeError("all layers of a network must share one dtype")
         self.layers = layers
 
     @classmethod
@@ -77,13 +88,13 @@ class Mlp:
         activations: list[str],
         rng: np.random.Generator,
     ) -> "Mlp":
-        """Xavier-uniform weights, zero biases."""
+        """float32 network: Xavier-uniform weights drawn in float64 and rounded, zero biases."""
         if len(activations) != len(sizes) - 1:
             raise ShapeError("need one activation per layer")
         layers = []
         for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], activations):
-            w = xavier_uniform(fan_in, fan_out, rng)
-            layers.append(DenseLayer(w, np.zeros(fan_out), act))
+            w = xavier_uniform(fan_in, fan_out, rng).astype(np.float32)
+            layers.append(DenseLayer(w, np.zeros(fan_out, dtype=np.float32), act))
         return cls(layers)
 
     @property
@@ -93,6 +104,10 @@ class Mlp:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].weight.shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.layers[0].weight.dtype
 
     def arrays(self) -> list[np.ndarray]:
         out = []
@@ -104,7 +119,7 @@ class Mlp:
     def _forward(self, x: np.ndarray, layer_tapes: list | None):
         """The one forward body; returns the output and the tape for :meth:`backward`,
         whose (layer input, layer output) list is ``layer_tapes`` if not None."""
-        x, single = _as_batch(x)
+        x, single = _as_batch(x, self.dtype)
         if x.shape[1] != self.in_dim:
             raise ShapeError(f"expected input dim {self.in_dim}, got {x.shape[1]}")
         h = x
@@ -137,14 +152,15 @@ class Mlp:
         it without the output axis, (B,) or (). Returns ``(dx, grads)`` where
         ``grads`` matches :meth:`arrays` order; ``grads`` is ``None`` when
         ``with_params`` is false (input-gradient only, used for action
-        gradients through critics). ``dy`` is never written to.
+        gradients through critics). ``dy`` is cast to the output's dtype and
+        never written to.
         """
         layer_tapes, single = tape
-        taped = layer_tapes[-1][1].shape
-        want = taped[1:] if single else taped
-        dy = np.asarray(dy, dtype=np.float64)
+        taped = layer_tapes[-1][1]
+        want = taped.shape[1:] if single else taped.shape
+        dy = np.asarray(dy, dtype=taped.dtype)
         if dy.shape != want:
-            if taped[-1] != 1 or dy.shape != want[:-1]:
+            if taped.shape[-1] != 1 or dy.shape != want[:-1]:
                 raise ShapeError(f"upstream gradient shape {dy.shape} != output shape {want}")
             dy = dy[..., None]
         # dh is the caller's dy on the first pass and a fresh matmul result after it

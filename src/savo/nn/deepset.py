@@ -52,7 +52,7 @@ class DeepSetSummarizer:
         rho. Records the phi and rho layers into the given lists, if any."""
         b, m, p = elements.shape
         if m == 0:
-            return np.zeros((b, self.summary_dim)), (b, m, None, None)
+            return np.zeros((b, self.summary_dim), dtype=self.rho.dtype), (b, m, None, None)
         h, phi_tape = self.phi._forward(elements.reshape(b * m, p), phi_tapes)
         out, rho_tape = self.rho._forward(h.reshape(b, m, -1).mean(axis=1), rho_tapes)
         return out, (b, m, phi_tape, rho_tape)
@@ -64,7 +64,7 @@ class DeepSetSummarizer:
         so the output is bitwise identical under input permutation.
         """
         if len(elements) == 0:
-            return SetSummary(np.zeros(self.summary_dim), 0)
+            return SetSummary(np.zeros(self.summary_dim, dtype=self.rho.dtype), 0)
         mat = np.asarray(elements, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[1] != self.element_dim:
             raise ShapeError(f"elements must be vectors of length {self.element_dim}")
@@ -84,7 +84,8 @@ class DeepSetSummarizer:
         """Returns (d_elements, grads); grads match :meth:`arrays` order."""
         b, m, phi_tape, rho_tape = tape
         if m == 0:
-            return np.zeros((b, 0, self.element_dim)), [np.zeros_like(a) for a in self.arrays()]
+            delems = np.zeros((b, 0, self.element_dim), dtype=self.phi.dtype)
+            return delems, [np.zeros_like(a) for a in self.arrays()]
         dpooled, rho_grads = self.rho.backward(rho_tape, dout)
         dh = np.repeat(dpooled / m, m, axis=0)
         delems, phi_grads = self.phi.backward(phi_tape, dh)

@@ -43,18 +43,18 @@ class FilmGenerator:
 
     def modulate_tape(self, features: np.ndarray, cond: np.ndarray):
         """``gamma * features + beta`` with (gamma, beta) generated from ``cond``."""
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features, dtype=self.net.dtype)
         if features.shape[-1] != self.width:
             raise ShapeError(f"features have width {features.shape[-1]}, generator modulates {self.width}")
         gamma, beta, net_tape = self._modulation(cond, [])
         return gamma * features + beta, (features, gamma, net_tape)
 
     def backward(self, tape, dout: np.ndarray, with_params: bool = True):
-        """Returns (d_features, d_cond, grads)."""
+        """Returns (d_features, d_cond, grads), in the generator's dtype."""
         features, gamma, net_tape = tape
-        dout = np.asarray(dout, dtype=np.float64)
+        dout = np.asarray(dout, dtype=self.net.dtype)
         dfeat = dout * gamma
-        draw = np.empty(dout.shape[:-1] + (2 * self.width,))
+        draw = np.empty(dout.shape[:-1] + (2 * self.width,), dtype=self.net.dtype)
         np.multiply(dout, features, out=draw[..., : self.width])
         draw[..., self.width :] = dout
         dcond, grads = self.net.backward(net_tape, draw, with_params=with_params)

@@ -31,8 +31,9 @@ def adam_step(
 ) -> None:
     """One in-place Adam update with bias correction.
 
-    Shapes and gradients are validated before any state is touched: a
-    gradient or moment of the wrong shape raises ``ShapeError``, and a
+    Shapes, dtypes and gradients are validated before any state is touched:
+    a gradient or moment whose shape or dtype differs from its parameter's
+    raises ``ShapeError`` (in-place updates would round it silently), and a
     non-finite gradient raises ``NonFiniteGradientError``; either leaves
     parameters, moments and the step counter unchanged. Each parameter array
     is updated through two scratch arrays, with the operations of
@@ -46,6 +47,8 @@ def adam_step(
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {a.shape}")
         if a.shape != m.shape or a.shape != v.shape:
             raise ShapeError(f"moment shapes {m.shape}, {v.shape} != parameter shape {a.shape}")
+        if not a.dtype == g.dtype == m.dtype == v.dtype:
+            raise ShapeError(f"gradient/moment dtypes {g.dtype}, {m.dtype}, {v.dtype} != parameter's {a.dtype}")
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError("non-finite gradient; update rejected")
     state.step += 1
@@ -69,14 +72,17 @@ def adam_step(
 
 
 def polyak_update(target: list[np.ndarray], online: list[np.ndarray], tau: float) -> None:
-    """target <- (1 - tau) * target + tau * online, in place."""
+    """target <- (1 - tau) * target + tau * online, in place.
+
+    Counts, shapes and dtypes are checked before any target moves; a
+    mismatch raises ``ShapeError``."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     if len(target) != len(online):
         raise ShapeError("target/online array counts differ")
     for t, o in zip(target, online):
-        if t.shape != o.shape:
-            raise ShapeError(f"target shape {t.shape} != online shape {o.shape}")
+        if t.shape != o.shape or t.dtype != o.dtype:
+            raise ShapeError(f"target {t.shape} {t.dtype} != online {o.shape} {o.dtype}")
     for t, o in zip(target, online):
         t *= 1.0 - tau
         t += tau * o

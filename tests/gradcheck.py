@@ -1,13 +1,27 @@
 """Central finite-difference oracle shared by the gradient tests.
 
 The oracle never touches the analytic backward paths: it re-evaluates the
-forward closure at perturbed parameter values only.
+forward closure at perturbed parameter values only. Networks are float32 by
+default; a step of ``FD_STEP`` is below their resolution, so gradchecks run
+on float64 copies made by :func:`as_dtype`.
 """
 
 import numpy as np
 
+from savo.nn import DeepSetSummarizer, DenseLayer, FilmGenerator, Mlp
+
 FD_STEP = 1e-5
 REL_TOL = 1e-4
+
+
+def as_dtype(module, dtype):
+    """A copy of an Mlp, DeepSetSummarizer or FilmGenerator with every
+    parameter cast to ``dtype``, built through the module's constructor."""
+    if isinstance(module, Mlp):
+        return Mlp([DenseLayer(l.weight.astype(dtype), l.bias.astype(dtype), l.activation) for l in module.layers])
+    if isinstance(module, DeepSetSummarizer):
+        return DeepSetSummarizer(as_dtype(module.phi, dtype), as_dtype(module.rho, dtype))
+    return FilmGenerator(as_dtype(module.net, dtype), module.width)
 
 
 def central_diff(f, arrays, h=FD_STEP):

@@ -43,9 +43,20 @@ def test_check_valid_empty_sphere_list():
     assert not check_valid(np.array([0.0]), spec)
 
 
-def test_restriction_rejects_nonpositive_radius():
+@pytest.mark.parametrize("centers, radii, replacement", [
+    ([[0.0]], [0.0], [-1.0]),
+    ([[0.0]], [-0.1], [-1.0]),
+    ([[np.nan]], [0.1], [np.nan]),
+    ([[np.inf]], [0.1], [-1.0]),
+    ([[0.0]], [np.nan], [-1.0]),
+    ([[0.0]], [np.inf], [-1.0]),
+    ([[0.0]], [0.1], [np.nan]),
+    ([[0.0]], [0.1], [-np.inf]),
+], ids=["zero_radius", "negative_radius", "nan_center_and_replacement", "inf_center", "nan_radius",
+        "inf_radius", "nan_replacement", "inf_replacement"])
+def test_restriction_rejects_bad_spec(centers, radii, replacement):
     with pytest.raises(ValueError):
-        RestrictionSpec(centers=[[0.0]], radii=[0.0], replacement=[-1.0])
+        RestrictionSpec(centers=centers, radii=radii, replacement=replacement)
 
 
 def test_canonical_restriction_matches_generator():
@@ -570,6 +581,18 @@ def test_continuous_envs_reject_non_finite_actions_before_any_change(bad):
     with pytest.raises(ValueError):
         cart.step(np.array([bad]))
     assert np.array_equal(cart._state, state) and cart._t == t
+
+
+def test_discrete_envs_take_only_integer_ids_before_any_change():
+    for env in (small_mining(), RecsimEnv(RecsimConfig(n_items=10, n_categories=3), seed=0)):
+        env.reset(seed=0)
+        for bad in (2.7, 2.0, True, np.bool_(True), np.float64(3.0), "3", None):
+            with pytest.raises(ValueError):
+                env.step(bad)
+            assert env._t == 0
+        env.step(np.int64(3))
+        env.step(np.int32(2))
+        assert env._t == 2
 
 
 def test_bandit_gradient_matches_finite_differences():

@@ -16,12 +16,16 @@ from savo.nn import (
     load_arrays,
     polyak_update,
     save_arrays,
+    xavier_uniform,
 )
 
-from gradcheck import assert_grads_match, central_diff
+from gradcheck import as_dtype, assert_grads_match, central_diff
+
+DTYPES = (np.float32, np.float64)
 
 
 def rand_mlp(rng, sizes, acts=None, rand_bias=False):
+    """A float32 network from ``Mlp.create``."""
     acts = acts or ["relu"] * (len(sizes) - 2) + ["linear"]
     net = Mlp.create(sizes, acts, rng)
     if rand_bias:
@@ -30,6 +34,10 @@ def rand_mlp(rng, sizes, acts=None, rand_bias=False):
         for layer in net.layers:
             layer.bias[:] = 0.3 * rng.standard_normal(layer.bias.shape)
     return net
+
+
+def _rand_grads(rng, net):
+    return [rng.standard_normal(a.shape).astype(a.dtype) for a in net.arrays()]
 
 
 # ---------------------------------------------------------------- forward
@@ -46,7 +54,7 @@ def test_forward_relu_clips_negative():
 
 def test_forward_matches_straightline_recomputation():
     rng = np.random.default_rng(7)
-    net = rand_mlp(rng, [3, 5, 2])
+    net = as_dtype(rand_mlp(rng, [3, 5, 2]), np.float64)
     x = rng.standard_normal(3)
     w1, b1 = net.layers[0].weight, net.layers[0].bias
     w2, b2 = net.layers[1].weight, net.layers[1].bias
@@ -63,12 +71,38 @@ def test_forward_shape_mismatch_raises():
 
 def test_forward_batched_agrees_with_rows():
     rng = np.random.default_rng(1)
-    net = rand_mlp(rng, [4, 8, 3])
+    net = as_dtype(rand_mlp(rng, [4, 8, 3]), np.float64)
     xs = rng.standard_normal((6, 4))
     batched = net.forward(xs)
     rows = np.stack([net.forward(x) for x in xs])
     # gemm vs gemv rounding may differ in the last ulp
     assert np.allclose(batched, rows, rtol=1e-13, atol=1e-13)
+
+
+def test_create_rounds_the_float64_xavier_draws():
+    sizes = [3, 5, 4, 2]
+    net = Mlp.create(sizes, ["relu", "tanh", "linear"], np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    for layer, fan_in, fan_out in zip(net.layers, sizes[:-1], sizes[1:]):
+        assert_same(layer.weight, xavier_uniform(fan_in, fan_out, rng).astype(np.float32))
+        assert_same(layer.bias, np.zeros(fan_out, dtype=np.float32))
+    ds = DeepSetSummarizer.create(3, 5, 4, np.random.default_rng(0))
+    gen = FilmGenerator.create(3, 4, np.random.default_rng(0))
+    assert all(a.dtype == np.float32 for a in ds.arrays() + gen.arrays())
+
+
+@pytest.mark.parametrize("weight_dtype, bias_dtype", [
+    (np.float32, np.float64), (np.float64, np.float32), (np.float16, np.float16), (np.int64, np.int64),
+])
+def test_dense_layer_rejects_mixed_or_unsupported_dtypes(weight_dtype, bias_dtype):
+    with pytest.raises(ShapeError):
+        DenseLayer(np.ones((2, 3), dtype=weight_dtype), np.zeros(3, dtype=bias_dtype), "relu")
+
+
+def test_mlp_rejects_layers_of_mixed_dtype():
+    net = rand_mlp(np.random.default_rng(6), [3, 4, 2])
+    with pytest.raises(ShapeError):
+        Mlp([net.layers[0], as_dtype(net, np.float64).layers[1]])
 
 
 # --------------------------------------------------------------- backward
@@ -95,7 +129,7 @@ def test_relu_subgradient_at_zero_is_zero():
 def test_mlp_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(1000 + seed)
     sizes = [int(rng.integers(2, 5)) for _ in range(4)]
-    net = rand_mlp(rng, sizes, rand_bias=True)
+    net = as_dtype(rand_mlp(rng, sizes, rand_bias=True), np.float64)
     x = rng.standard_normal(sizes[0])
     w = rng.standard_normal(sizes[-1])  # random linear functional of the output
 
@@ -131,14 +165,14 @@ def test_backward_without_params_matches_full():
 
 _REF_ACTS = {
     "linear": (lambda z: z, lambda z: np.ones_like(z)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(z.dtype)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
 }
 
 
 def ref_mlp(net, x, dy, with_params=True):
-    """(output, dx, grads) by the pre-activation formulas."""
-    x = np.asarray(x, dtype=np.float64)
+    """(output, dx, grads) by the pre-activation formulas, in the net's dtype."""
+    x = np.asarray(x, dtype=net.dtype)
     single = x.ndim == 1
     h = x[None, :] if single else x
     tape = []
@@ -146,7 +180,7 @@ def ref_mlp(net, x, dy, with_params=True):
         z = h @ layer.weight + layer.bias
         tape.append((h, z))
         h = _REF_ACTS[layer.activation][0](z)
-    dy = np.asarray(dy, dtype=np.float64)
+    dy = np.asarray(dy, dtype=net.dtype)
     if dy.ndim == 1 and not single:
         dy = dy[:, None]
     if single:
@@ -200,25 +234,28 @@ def _ref_case_net(rng, acts, out_dim):
 @pytest.mark.parametrize("out_dim", [1, 3])
 def test_mlp_passes_match_preactivation_formulas_bitwise(acts, out_dim):
     rng = np.random.default_rng([out_dim] + [("relu", "tanh", "linear").index(a) for a in acts])
-    net = _ref_case_net(rng, acts, out_dim)
+    created = _ref_case_net(rng, acts, out_dim)
     x_batch = rng.standard_normal((9, 4))
     x_batch[0] = 0.0
     x_batch[1] *= 1e3  # saturates tanh
     cases = [(x_batch, rng.standard_normal((9, out_dim))), (x_batch[2], rng.standard_normal(out_dim))]
     if out_dim == 1:
         cases += [(x_batch, rng.standard_normal(9)), (x_batch[3], rng.standard_normal(()))]
-    for x, dy in cases:
-        for with_params in (True, False):
-            x_before, dy_before = x.copy(), dy.copy()
-            out, tape = net.forward_tape(x)
-            dx, grads = net.backward(tape, dy, with_params=with_params)
-            want_out, want_dx, want_grads = ref_mlp(net, x, dy, with_params)
-            assert_same(out, want_out)
-            assert_same(net.forward(x), want_out)
-            assert_same(dx, want_dx)
-            assert_same(grads, want_grads)
-            assert_same(x, x_before)
-            assert_same(dy, dy_before)
+    for dtype in DTYPES:
+        net = as_dtype(created, dtype)
+        for x, dy in cases:
+            for with_params in (True, False):
+                x_before, dy_before = x.copy(), dy.copy()
+                out, tape = net.forward_tape(x)
+                dx, grads = net.backward(tape, dy, with_params=with_params)
+                want_out, want_dx, want_grads = ref_mlp(net, x, dy, with_params)
+                assert out.dtype == dx.dtype == dtype
+                assert_same(out, want_out)
+                assert_same(net.forward(x), want_out)
+                assert_same(dx, want_dx)
+                assert_same(grads, want_grads)
+                assert_same(x, x_before)
+                assert_same(dy, dy_before)
 
 
 @pytest.mark.parametrize("acts", [("relu", "relu", "linear"), ("relu", "tanh", "tanh")])
@@ -244,21 +281,26 @@ def test_mlp_passes_propagate_non_finite_values_as_before(acts):
 
 def test_film_backward_matches_concatenated_formula_bitwise():
     rng = np.random.default_rng(4500)
-    gen = FilmGenerator.create(cond_dim=3, width=4, rng=rng)
-    for layer in gen.net.layers:
+    created = FilmGenerator.create(cond_dim=3, width=4, rng=rng)
+    for layer in created.net.layers:
         layer.weight[:] = rng.standard_normal(layer.weight.shape)
-    for feats, cond, dout in ((rng.standard_normal((5, 4)), rng.standard_normal((5, 3)), rng.standard_normal((5, 4))),
-                              (rng.standard_normal(4), rng.standard_normal(3), rng.standard_normal(4))):
-        dout_before = dout.copy()
-        _, tape = gen.modulate_tape(feats, cond)
-        dfeat, dcond, grads = gen.backward(tape, dout)
-        gamma = 1.0 + gen.net.forward(cond)[..., :4]
-        draw = np.concatenate([dout * feats, dout], axis=-1)
-        _, want_dcond, want_grads = ref_mlp(gen.net, cond, draw)
-        assert_same(dfeat, dout * gamma)
-        assert_same(dcond, want_dcond)
-        assert_same(grads, want_grads)
-        assert_same(dout, dout_before)
+    cases = ((rng.standard_normal((5, 4)), rng.standard_normal((5, 3)), rng.standard_normal((5, 4))),
+             (rng.standard_normal(4), rng.standard_normal(3), rng.standard_normal(4)))
+    for dtype in DTYPES:
+        gen = as_dtype(created, dtype)
+        for feats, cond, dout in cases:
+            dout_before = dout.copy()
+            _, tape = gen.modulate_tape(feats, cond)
+            dfeat, dcond, grads = gen.backward(tape, dout)
+            gamma = 1.0 + gen.net.forward(cond)[..., :4]
+            feats_d, dout_d = feats.astype(dtype), dout.astype(dtype)
+            draw = np.concatenate([dout_d * feats_d, dout_d], axis=-1)
+            _, want_dcond, want_grads = ref_mlp(gen.net, cond, draw)
+            assert dfeat.dtype == dcond.dtype == dtype
+            assert_same(dfeat, dout_d * gamma)
+            assert_same(dcond, want_dcond)
+            assert_same(grads, want_grads)
+            assert_same(dout, dout_before)
 
 
 def test_taped_output_is_read_only():
@@ -312,7 +354,7 @@ def test_backward_takes_unsqueezed_upstream_only_for_one_output_nets():
 def test_film_is_identity_at_init():
     rng = np.random.default_rng(3)
     gen = FilmGenerator.create(cond_dim=4, width=6, rng=rng)
-    feats = rng.standard_normal(6)
+    feats = rng.standard_normal(6).astype(np.float32)
     cond = rng.standard_normal(4)
     assert np.array_equal(gen.modulate_tape(feats, cond)[0], feats)
 
@@ -329,7 +371,7 @@ def test_film_zero_scale_returns_shift():
 
 def test_film_matches_hand_computation():
     rng = np.random.default_rng(8)
-    gen = FilmGenerator.create(cond_dim=3, width=4, rng=rng)
+    gen = as_dtype(FilmGenerator.create(cond_dim=3, width=4, rng=rng), np.float64)
     gen.net.layers[-1].weight[:] = rng.standard_normal(gen.net.layers[-1].weight.shape)
     feats = rng.standard_normal(4)
     cond = rng.standard_normal(3)
@@ -349,7 +391,7 @@ def test_film_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(2000 + seed)
     width = int(rng.integers(2, 5))
     cond_dim = int(rng.integers(2, 4))
-    gen = FilmGenerator.create(cond_dim, width, rng)
+    gen = as_dtype(FilmGenerator.create(cond_dim, width, rng), np.float64)
     gen.net.layers[-1].weight[:] = 0.3 * rng.standard_normal(gen.net.layers[-1].weight.shape)
     gen.net.layers[-1].bias[:] = 0.3 * rng.standard_normal(2 * width)
     feats = rng.standard_normal((2, width))
@@ -410,7 +452,7 @@ def test_deepset_batch_path_matches_single_sets():
 @pytest.mark.parametrize("seed", range(50))
 def test_deepset_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(3000 + seed)
-    ds = DeepSetSummarizer.create(3, 4, 3, rng)
+    ds = as_dtype(DeepSetSummarizer.create(3, 4, 3, rng), np.float64)
     for net in (ds.phi, ds.rho):
         for layer in net.layers:
             layer.bias[:] = 0.3 * rng.standard_normal(layer.bias.shape)
@@ -431,19 +473,25 @@ def test_deepset_gradients_match_finite_differences(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_mlp_taped_and_untaped_forward_agree_bitwise(seed):
     rng = np.random.default_rng(4000 + seed)
-    net = rand_mlp(rng, [4, 7, 7, 3], acts=["relu", "tanh", "linear"], rand_bias=True)
-    for x in (rng.standard_normal(4), rng.standard_normal((5, 4))):
-        assert np.array_equal(net.forward(x), net.forward_tape(x)[0])
+    created = rand_mlp(rng, [4, 7, 7, 3], acts=["relu", "tanh", "linear"], rand_bias=True)
+    xs = (rng.standard_normal(4), rng.standard_normal((5, 4)))
+    for dtype in DTYPES:
+        net = as_dtype(created, dtype)
+        for x in xs:
+            assert_same(net.forward(x), net.forward_tape(x)[0])
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_deepset_taped_and_untaped_forward_agree_bitwise(m):
     rng = np.random.default_rng(4100 + m)
-    ds = DeepSetSummarizer.create(3, 5, 4, rng)
+    created = DeepSetSummarizer.create(3, 5, 4, rng)
     elems = rng.standard_normal((6, m, 3))
-    out, tape = ds.forward_batch_tape(elems)
-    assert np.array_equal(ds.forward_batch(elems), out)
-    assert tape[:2] == (6, m)
+    for dtype in DTYPES:
+        ds = as_dtype(created, dtype)
+        out, tape = ds.forward_batch_tape(elems)
+        assert out.dtype == dtype
+        assert_same(ds.forward_batch(elems), out)
+        assert tape[:2] == (6, m)
 
 
 def test_deepset_summarize_agrees_bitwise_with_batch_of_sorted_set():
@@ -456,12 +504,54 @@ def test_deepset_summarize_agrees_bitwise_with_batch_of_sorted_set():
 
 def test_film_scale_shift_agrees_bitwise_with_modulate_tape():
     rng = np.random.default_rng(4300)
-    gen = FilmGenerator.create(cond_dim=3, width=4, rng=rng)
-    gen.net.layers[-1].weight[:] = rng.standard_normal(gen.net.layers[-1].weight.shape)
-    for h, c in ((rng.standard_normal(4), rng.standard_normal(3)),
-                 (rng.standard_normal((5, 4)), rng.standard_normal((5, 3)))):
-        gamma, beta = gen.scale_shift(c)
-        assert np.array_equal(gamma * h + beta, gen.modulate_tape(h, c)[0])
+    created = FilmGenerator.create(cond_dim=3, width=4, rng=rng)
+    created.net.layers[-1].weight[:] = rng.standard_normal(created.net.layers[-1].weight.shape)
+    cases = ((rng.standard_normal(4), rng.standard_normal(3)),
+             (rng.standard_normal((5, 4)), rng.standard_normal((5, 3))))
+    for dtype in DTYPES:
+        gen = as_dtype(created, dtype)
+        for h, c in cases:
+            gamma, beta = gen.scale_shift(c)
+            assert_same(gamma * h.astype(dtype) + beta, gen.modulate_tape(h, c)[0])
+
+
+# ------------------------------------------------------------ float32 path
+
+def test_float32_pass_and_update_never_widen_to_float64():
+    """float64 inputs, targets and upstream gradients meet float32 modules at
+    every entry point; every output, gradient, moment and target stays float32."""
+    rng = np.random.default_rng(4400)
+    critic = rand_mlp(rng, [6, 8, 1])
+    ds = DeepSetSummarizer.create(2, 5, 4, rng)
+    gen = FilmGenerator.create(4, 3, rng)
+    target = as_dtype(critic, np.float32)
+    q, tape = critic.forward_tape(rng.standard_normal((5, 6)))
+    dx, grads = critic.backward(tape, rng.standard_normal(5))
+    summary, ds_tape = ds.forward_batch_tape(rng.standard_normal((5, 2, 2)))
+    delems, ds_grads = ds.backward_batch(ds_tape, rng.standard_normal((5, 4)))
+    mod, film_tape = gen.modulate_tape(rng.standard_normal((5, 3)), rng.standard_normal((5, 4)))
+    dfeat, dcond, film_grads = gen.backward(film_tape, rng.standard_normal((5, 3)))
+    state = AdamState(critic.arrays())
+    adam_step(critic.arrays(), grads, state, lr=3e-4)
+    polyak_update(target.arrays(), critic.arrays(), 0.005)
+    outputs = [q, dx, summary, delems, mod, dfeat, dcond, critic.forward(rng.standard_normal(6)),
+               ds.forward_batch(np.zeros((2, 0, 2))), ds.summarize([]).vector, *gen.scale_shift(np.zeros(4))]
+    for a in outputs + grads + ds_grads + film_grads + critic.arrays() + state.m + state.v + target.arrays():
+        assert a.dtype == np.float32
+
+
+def test_float32_critic_matches_its_float64_copy():
+    rng = np.random.default_rng(4450)
+    net32 = rand_mlp(rng, [40, 256, 256, 1], rand_bias=True)
+    net64 = as_dtype(net32, np.float64)
+    x, dy = rng.standard_normal((64, 40)), rng.standard_normal(64)
+    results = []
+    for net in (net32, net64):
+        dx, grads = net.backward(net.forward_tape(x)[1], dy)
+        results.append([net.forward(x), dx, *grads])
+    for g, w in zip(*results):
+        assert g.dtype == np.float32 and w.dtype == np.float64
+        assert np.max(np.abs(g - w)) <= 1e-5 * np.max(np.abs(w))
 
 
 # ------------------------------------------------------------------- adam
@@ -526,25 +616,28 @@ def test_adam_step_counter_increments_by_one():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_adam_matches_allocating_formula_bitwise(seed):
-    rng = np.random.default_rng(5000 + seed)
-    shapes = [(4, 3), (3,), (3, 1), (1,)]
-    arrays = [rng.standard_normal(s) for s in shapes]
-    ref_arrays = [a.copy() for a in arrays]
-    state = AdamState(arrays)
-    ref_m, ref_v, ref_step = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes], 0
-    for i in range(6):
-        scale = 10.0 ** rng.uniform(-150, 150, size=len(shapes)) if i % 2 else np.ones(len(shapes))
-        grads = [s * rng.standard_normal(a.shape) for s, a in zip(scale, arrays)]
-        grads[0][0, 0] = 0.0
-        before = [g.copy() for g in grads]
-        lr = float(10.0 ** rng.uniform(-4, -1))
-        adam_step(arrays, grads, state, lr=lr)
-        ref_step = ref_adam(ref_arrays, grads, ref_m, ref_v, ref_step, lr)
-        assert_same(arrays, ref_arrays)
-        assert_same(state.m, ref_m)
-        assert_same(state.v, ref_v)
-        assert_same(grads, before)
-        assert state.step == ref_step
+    # gradient scales span about half of each dtype's exponent range, so g * g stays finite
+    for dtype, span in ((np.float32, 18), (np.float64, 150)):
+        rng = np.random.default_rng(5000 + seed)
+        shapes = [(4, 3), (3,), (3, 1), (1,)]
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        ref_arrays = [a.copy() for a in arrays]
+        state = AdamState(arrays)
+        ref_m, ref_v, ref_step = [np.zeros(s, dtype) for s in shapes], [np.zeros(s, dtype) for s in shapes], 0
+        for i in range(6):
+            scale = 10.0 ** rng.uniform(-span, span, size=len(shapes)) if i % 2 else np.ones(len(shapes))
+            grads = [(s * rng.standard_normal(a.shape)).astype(dtype) for s, a in zip(scale, arrays)]
+            grads[0][0, 0] = 0.0
+            before = [g.copy() for g in grads]
+            lr = float(10.0 ** rng.uniform(-4, -1))
+            adam_step(arrays, grads, state, lr=lr)
+            ref_step = ref_adam(ref_arrays, grads, ref_m, ref_v, ref_step, lr)
+            assert arrays[0].dtype == state.m[0].dtype == state.v[0].dtype == dtype
+            assert_same(arrays, ref_arrays)
+            assert_same(state.m, ref_m)
+            assert_same(state.v, ref_v)
+            assert_same(grads, before)
+            assert state.step == ref_step
 
 
 def test_adam_rejects_state_of_another_network_and_changes_nothing():
@@ -558,6 +651,24 @@ def test_adam_rejects_state_of_another_network_and_changes_nothing():
     for a, b in zip(net.arrays() + state.m + state.v, before):
         assert np.array_equal(a, b)
     assert state.step == 0
+
+
+@pytest.mark.parametrize("other", ["gradient", "moment"])
+def test_adam_rejects_other_dtypes_and_changes_nothing(other):
+    rng = np.random.default_rng(5150)
+    net = rand_mlp(rng, [3, 4, 2])
+    state = AdamState(net.arrays())
+    adam_step(net.arrays(), _rand_grads(rng, net), state, lr=1e-3)
+    grads = _rand_grads(rng, net)
+    if other == "gradient":
+        grads[-1] = grads[-1].astype(np.float64)
+    else:
+        state.v[-1] = state.v[-1].astype(np.float64)
+    before = [a.copy() for a in net.arrays() + state.m + state.v]
+    with pytest.raises(ShapeError):
+        adam_step(net.arrays(), grads, state, lr=1e-3)
+    assert_same(net.arrays() + state.m + state.v, before)
+    assert state.step == 1
 
 
 def test_adam_rejects_second_moment_of_wrong_shape():
@@ -601,22 +712,26 @@ def test_polyak_shape_mismatch_raises():
     target = [np.zeros(2), np.zeros(2)]
     with pytest.raises(ShapeError):
         polyak_update(target, [np.ones(2), np.ones(3)], 0.5)
+    with pytest.raises(ShapeError):
+        polyak_update(target, [np.ones(2), np.ones(2, dtype=np.float32)], 0.5)
     assert not target[0].any()  # checked before any array moves
 
 
 @pytest.mark.parametrize("tau", [0.005, 0.3, 1.0 / 3.0])
 def test_polyak_matches_allocating_formula_bitwise(tau):
-    rng = np.random.default_rng(5200)
-    target = [rng.standard_normal((5, 4)), 1e200 * rng.standard_normal(3)]
-    online = [rng.standard_normal((5, 4)), 1e-200 * rng.standard_normal(3)]
-    want = [t.copy() for t in target]
-    for t, o in zip(want, online):
-        t *= 1.0 - tau
-        t += tau * o
-    online_before = [o.copy() for o in online]
-    polyak_update(target, online, tau)
-    assert_same(target, want)
-    assert_same(online, online_before)
+    for dtype, big, tiny in ((np.float32, 1e30, 1e-30), (np.float64, 1e200, 1e-200)):
+        rng = np.random.default_rng(5200)
+        target = [rng.standard_normal((5, 4)).astype(dtype), (big * rng.standard_normal(3)).astype(dtype)]
+        online = [rng.standard_normal((5, 4)).astype(dtype), (tiny * rng.standard_normal(3)).astype(dtype)]
+        want = [t.copy() for t in target]
+        for t, o in zip(want, online):
+            t *= 1.0 - tau
+            t += tau * o
+        online_before = [o.copy() for o in online]
+        polyak_update(target, online, tau)
+        assert target[0].dtype == target[1].dtype == dtype
+        assert_same(target, want)
+        assert_same(online, online_before)
 
 
 # ------------------------------------------------------------- checkpoint
@@ -625,7 +740,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(31)
     net = rand_mlp(rng, [3, 7, 2])
     state = AdamState(net.arrays())
-    adam_step(net.arrays(), [rng.standard_normal(a.shape) for a in net.arrays()], state, lr=1e-3)
+    adam_step(net.arrays(), _rand_grads(rng, net), state, lr=1e-3)
     path = tmp_path / "net.npz"
     save_arrays(path, net.arrays(), state)
 
@@ -653,19 +768,22 @@ def _trained_net(seed, steps):
     net = rand_mlp(rng, [3, 7, 2])
     state = AdamState(net.arrays())
     for _ in range(steps):
-        adam_step(net.arrays(), [rng.standard_normal(a.shape) for a in net.arrays()], state, lr=1e-3)
+        adam_step(net.arrays(), _rand_grads(rng, net), state, lr=1e-3)
     return net, state
 
 
-@pytest.mark.parametrize("corrupt", ["last_array", "adam_moment"])
+@pytest.mark.parametrize("corrupt", ["last_array", "adam_moment", "dtype"])
 def test_checkpoint_mismatch_changes_nothing(tmp_path, corrupt):
     net, state = _trained_net(41, steps=1)
     path = tmp_path / "net.npz"
     save_arrays(path, net.arrays(), state)
     with np.load(path) as data:
         payload = dict(data)
-    key = f"p{len(net.arrays()) - 1}" if corrupt == "last_array" else "v0"
-    payload[key] = np.zeros(payload[key].size + 1)
+    key = "v0" if corrupt == "adam_moment" else f"p{len(net.arrays()) - 1}"
+    if corrupt == "dtype":  # a float64 checkpoint of the same shapes is not rounded into float32 arrays
+        payload[key] = payload[key].astype(np.float64)
+    else:
+        payload[key] = np.zeros(payload[key].size + 1)
     np.savez(path, **payload)
 
     other, other_state = _trained_net(42, steps=2)
