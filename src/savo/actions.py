@@ -84,11 +84,13 @@ class ActionTable:
         uniq = np.unique(self.reps, axis=0)
         if uniq.shape[0] != self.reps.shape[0]:
             raise ActionTableError("duplicate representation rows make nearest() ambiguous")
-        self.reps.setflags(write=False)
-        self._index = _build_index(self.reps)
         if self.categories is not None:
             self.categories = np.array(self.categories)
+            if self.categories.shape != (len(self.ids),):
+                raise ActionTableError(f"categories must be ({len(self.ids)},), got shape {self.categories.shape}")
             self.categories.setflags(write=False)
+        self.reps.setflags(write=False)
+        self._index = _build_index(self.reps)
 
     def __len__(self) -> int:
         return self.reps.shape[0]
@@ -204,32 +206,4 @@ def nearest_rows(queries: np.ndarray, table: ActionTable) -> np.ndarray:
     (D,) query is a batch of one.
     """
     return _rank_rows(_checked_queries(queries, table, batch=True), table, 1)[:, 0]
-
-
-def gmm_sample_table(
-    seed: int,
-    n_actions: int,
-    centers,
-    dim: int,
-    center_scale: float = 1.0,
-    component_std: float = 0.15,
-) -> ActionTable:
-    """Representations drawn from a Gaussian mixture; component index is the category.
-
-    ``centers`` is either a component count (centers drawn uniformly in
-    ``[-center_scale, center_scale]^dim``) or an explicit (C, dim) array.
-    """
-    rng = np.random.default_rng(seed)
-    if np.isscalar(centers):
-        n_centers = int(centers)
-        if n_centers < 1:
-            raise ActionTableError("need at least one mixture center")
-        center_mat = rng.uniform(-center_scale, center_scale, size=(n_centers, dim))
-    else:
-        center_mat = np.asarray(centers, dtype=np.float64)
-        if center_mat.ndim != 2 or center_mat.shape[1] != dim:
-            raise ActionTableError("explicit centers must be (C, dim)")
-    assignment = rng.integers(0, center_mat.shape[0], size=n_actions)
-    reps = center_mat[assignment] + component_std * rng.standard_normal((n_actions, dim))
-    return ActionTable(reps=reps, categories=assignment.astype(np.int64))
 

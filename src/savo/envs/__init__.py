@@ -1,4 +1,4 @@
-from .base import Env
+from .base import Env, EpisodeDoneError
 from .bandit import BanditEnv, BanditLandscape, canonical_adversarial, random_landscape
 from .mining import MiningConfig, MiningEnv, make_tool_map, mining_action_table
 from .pendulum import (
@@ -30,6 +30,7 @@ __all__ = [
     "CANONICAL_RESTRICTION",
     "CartPoleEnv",
     "Env",
+    "EpisodeDoneError",
     "MiningConfig",
     "MiningEnv",
     "RecsimConfig",

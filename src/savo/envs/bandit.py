@@ -7,7 +7,6 @@ actor architecture climbs a known multi-peaked surface.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,24 +230,16 @@ def canonical_adversarial() -> BanditLandscape:
 
 class BanditEnv(Env):
     observation_dim = 1
-    action_dim = 1
-    horizon = 1
 
     def __init__(self, landscape: BanditLandscape | None = None, seed: int = 0):
+        super().__init__(seed, horizon=1)
         self.landscape = landscape or canonical_adversarial()
         self.action_low = self.landscape.low
         self.action_high = self.landscape.high
         self.action_dim = self.landscape.dim
-        self._rng = np.random.default_rng(seed)
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+    def _reset(self) -> np.ndarray:
         return np.zeros(1)
 
-    def step(self, action):
-        a = np.atleast_1d(np.asarray(action, dtype=np.float64))
-        if not all(map(math.isfinite, a.ravel().tolist())):
-            raise ValueError(f"action must be finite, got {action!r}")
-        a = np.clip(a, self.landscape.low, self.landscape.high)
+    def _step(self, a):
         return np.zeros(1), self.landscape.value_at(a), True, {}

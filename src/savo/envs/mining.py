@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..actions import ActionTable
-from .base import Env, checked_id
+from .base import Env
 
 RIGHT, DOWN, LEFT, UP = 0, 1, 2, 3
 _DELTAS = {RIGHT: (1, 0), DOWN: (0, 1), LEFT: (-1, 0), UP: (0, -1)}
@@ -55,6 +55,8 @@ class MiningConfig:
     tool_map_seed: int = 0
 
     def __post_init__(self):
+        if self.grid_size < 4:
+            raise ValueError("grid_size must be at least 4: the start and the goal are distinct inner cells")
         if not self.tool_map:
             self.tool_map = make_tool_map(self.tool_map_seed, self.n_mine_types)
         if len(self.tool_map) != self.n_tools:
@@ -88,21 +90,17 @@ def mining_action_table(config: MiningConfig) -> ActionTable:
 
 
 class MiningEnv(Env):
-    discrete = True
-
     def __init__(self, config: MiningConfig | None = None, seed: int = 0):
         self.config = config or MiningConfig()
+        super().__init__(seed, self.config.n_max)
         g = self.config.grid_size
         self.start = (1, 1)
         self.goal = (g - 2, g - 2)
-        self.horizon = self.config.n_max
         self.observation_dim = 8 + self.config.n_mine_types
         self.action_table = mining_action_table(self.config)
-        self._rng = np.random.default_rng(seed)
         self._grid = np.full((g, g), _EMPTY, dtype=np.int64)
         self._pos = self.start
         self._dir = RIGHT
-        self._t = 0
 
     # --- layout -----------------------------------------------------------
 
@@ -122,13 +120,10 @@ class MiningEnv(Env):
             grid[x, y] = int(self._rng.integers(0, self.config.n_mine_types))
         return grid
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+    def _reset(self) -> np.ndarray:
         self._grid = self._new_layout()
         self._pos = self.start
         self._dir = RIGHT
-        self._t = 0
         return self._observe()
 
     # --- observation ------------------------------------------------------
@@ -162,9 +157,7 @@ class MiningEnv(Env):
 
     # --- dynamics ---------------------------------------------------------
 
-    def step(self, action_id: int):
-        action_id = checked_id(action_id, self.config.n_actions)
-        self._t += 1
+    def _step(self, action_id: int):
         dist_before = self._distance()
         reward = 0.0
         reached = False
@@ -193,5 +186,4 @@ class MiningEnv(Env):
             reward += self.config.r_goal * (
                 1.0 - self.config.lambda_goal * self._t / self.config.n_max
             )
-        done = reached or self._t >= self.horizon
-        return self._observe(), reward, done, {"reached": reached}
+        return self._observe(), reward, reached, {"reached": reached}

@@ -9,7 +9,6 @@ surface multi-peaked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,27 +106,18 @@ class CartPoleEnv(Env):
     _obs_scale = np.array([2.4, 3.0, THETA_LIMIT, 3.0])
 
     def __init__(self, restriction: RestrictionSpec | None = None, horizon: int = 500, seed: int = 0):
+        super().__init__(seed, horizon)
         self.restriction = restriction
-        self.horizon = horizon
-        self._rng = np.random.default_rng(seed)
         self._state = np.zeros(4)  # x, x_dot, theta, theta_dot
-        self._t = 0
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+    def _reset(self) -> np.ndarray:
         self._state = self._rng.uniform(-0.05, 0.05, size=4)
-        self._t = 0
         return self._observe()
 
     def _observe(self) -> np.ndarray:
         return self._state / self._obs_scale
 
-    def step(self, action):
-        a = np.atleast_1d(np.asarray(action, dtype=np.float64))
-        if not math.isfinite(a[0]):
-            raise ValueError(f"action must be finite, got {action!r}")
-        a = np.clip(a, -1.0, 1.0)
+    def _step(self, a):
         if self.restriction is not None and not check_valid(a, self.restriction):
             a = self.restriction.replacement
         x, x_dot, theta, theta_dot = self._state
@@ -145,6 +135,4 @@ class CartPoleEnv(Env):
         theta_dot += DT * theta_acc
         theta += DT * theta_dot
         self._state = np.array([x, x_dot, theta, theta_dot])
-        self._t += 1
-        done = abs(theta) > THETA_LIMIT or self._t >= self.horizon
-        return self._observe(), 1.0, done, {"executed": a.copy()}
+        return self._observe(), 1.0, abs(theta) > THETA_LIMIT, {"executed": a.copy()}

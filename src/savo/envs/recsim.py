@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..actions import ActionTable, gmm_sample_table
+from ..actions import ActionTable
 from .base import Env, checked_id
 
 
@@ -23,53 +23,47 @@ class RecsimConfig:
     def __post_init__(self):
         if self.n_items < 1:
             raise ValueError("need at least one item")
+        if self.n_categories < 1:
+            raise ValueError("need at least one category")
 
 
 def recsim_action_table(config: RecsimConfig) -> ActionTable:
-    """Item embeddings drawn from a category GMM, normalized onto the unit
-    sphere so all user-item dot products are bounded by 1."""
-    raw = gmm_sample_table(
-        seed=config.table_seed,
-        n_actions=config.n_items,
-        centers=config.n_categories,
-        dim=config.n_categories,
-        center_scale=1.0,
-        component_std=0.3,
-    )
-    reps = raw.reps / np.linalg.norm(raw.reps, axis=1, keepdims=True)
-    return ActionTable(reps=reps, categories=raw.categories)
+    """Item embeddings drawn from a Gaussian mixture with one component per
+    category (centres uniform in [-1, 1]^C, standard deviation 0.3; the
+    component is the item's category), normalized onto the unit sphere so
+    all user-item dot products are bounded by 1."""
+    rng = np.random.default_rng(config.table_seed)
+    c = config.n_categories
+    centers = rng.uniform(-1.0, 1.0, size=(c, c))
+    category = rng.integers(0, c, size=config.n_items)
+    reps = centers[category] + 0.3 * rng.standard_normal((config.n_items, c))
+    return ActionTable(reps=reps / np.linalg.norm(reps, axis=1, keepdims=True), categories=category)
 
 
 class RecsimEnv(Env):
-    discrete = True
-
     def __init__(self, config: RecsimConfig | None = None, seed: int = 0):
         self.config = config or RecsimConfig()
+        super().__init__(seed, self.config.horizon)
         self.action_table = recsim_action_table(self.config)
-        self.horizon = self.config.horizon
         self.observation_dim = self.config.n_categories
-        self._rng = np.random.default_rng(seed)
         self._user = np.zeros(self.observation_dim)
-        self._t = 0
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+    def _reset(self) -> np.ndarray:
         u = self._rng.standard_normal(self.observation_dim)
         self._user = u / np.linalg.norm(u)
-        self._t = 0
         return self._user.copy()
 
     def click_probability(self, item_id: int) -> float:
-        score = float(self._user @ self.action_table.reps[item_id])
-        e_item = np.exp(score)
-        return e_item / (e_item + np.exp(self.config.skip_score))
+        """Raises ``ValueError`` unless ``item_id`` is an integer id in the table."""
+        return self._click_probability(self.action_table.reps[checked_id(item_id, len(self.action_table))])
 
-    def step(self, item_id: int):
-        item_id = checked_id(item_id, len(self.action_table))
-        self._t += 1
+    def _click_probability(self, rep: np.ndarray) -> float:
+        e_score = np.exp(float(self._user @ rep))
+        return e_score / (e_score + np.exp(self.config.skip_score))
+
+    def _step(self, item_id: int):
         e_item = self.action_table.reps[item_id]
-        p_click = self.click_probability(item_id)
+        p_click = self._click_probability(e_item)
         clicked = self._rng.random() < p_click
         reward = 1.0 if clicked else 0.0
         if clicked:
@@ -80,5 +74,4 @@ class RecsimEnv(Env):
             norm = np.linalg.norm(self._user)
             if norm > 1.0:
                 self._user = self._user / norm
-        done = self._t >= self.horizon
-        return self._user.copy(), reward, done, {"clicked": clicked}
+        return self._user.copy(), reward, False, {"clicked": clicked}

@@ -6,7 +6,6 @@ import pytest
 from savo.actions import (
     ActionTable,
     ActionTableError,
-    gmm_sample_table,
     knn,
     nearest,
     nearest_rows,
@@ -222,7 +221,7 @@ def test_exact_on_recsim_table_at_workload_shape():
 
 
 def test_cached_index_is_read_only():
-    t = gmm_sample_table(seed=4, n_actions=50, centers=3, dim=3)
+    t = ActionTable(reps=np.random.default_rng(4).standard_normal((50, 3)))
     arrays = [v for v in t._index if isinstance(v, np.ndarray)]
     assert arrays
     for a in arrays:
@@ -268,31 +267,23 @@ def test_empty_table_rejected():
         ActionTable(reps=np.zeros((0, 2)))
 
 
-def test_gmm_single_center_zero_variance_places_rep_at_center():
-    center = np.array([[0.3, -0.4]])
-    t = gmm_sample_table(seed=0, n_actions=1, centers=center, dim=2, component_std=0.0)
-    assert np.array_equal(t.reps, center)
-
-
-def test_gmm_zero_variance_multirow_collides_with_duplicate_guard():
+def test_mislabelled_categories_rejected():
     with pytest.raises(ActionTableError):
-        gmm_sample_table(seed=0, n_actions=5, centers=np.array([[0.3, -0.4]]), dim=2, component_std=0.0)
+        ActionTable(reps=np.eye(3), categories=[0, 1])
+    with pytest.raises(ActionTableError):
+        ActionTable(reps=np.eye(3), categories=[[0, 1, 2]])
 
 
-def test_gmm_seeded_twice_identical():
-    a = gmm_sample_table(seed=11, n_actions=100, centers=4, dim=3)
-    b = gmm_sample_table(seed=11, n_actions=100, centers=4, dim=3)
-    assert np.array_equal(a.reps, b.reps)
-    assert np.array_equal(a.categories, b.categories)
-
-
-def test_gmm_component_means_near_centers():
-    centers = np.array([[1.0, -1.0], [-1.0, 1.0], [0.0, 2.0]])
-    t = gmm_sample_table(seed=5, n_actions=10_000, centers=centers, dim=2, component_std=0.15)
-    for c in range(3):
-        mask = t.categories == c
-        n = int(mask.sum())
-        sample_mean = t.reps[mask].mean(axis=0)
-        # 3 sigma of the mean estimator
-        bound = 3.0 * 0.15 / np.sqrt(n)
-        assert np.all(np.abs(sample_mean - centers[c]) < bound)
+def test_recsim_table_is_the_normalised_gmm_draw():
+    """The table equals the draw of the general mixture sampler it replaced:
+    centres, categories and noise from one generator in that order."""
+    for config in (RecsimConfig(), RecsimConfig(n_items=25, n_categories=4, table_seed=3)):
+        rng = np.random.default_rng(config.table_seed)
+        c = config.n_categories
+        centers = rng.uniform(-1.0, 1.0, size=(c, c))
+        category = rng.integers(0, c, size=config.n_items).astype(np.int64)
+        raw = centers[category] + 0.3 * rng.standard_normal((config.n_items, c))
+        t = recsim_action_table(config)
+        assert np.array_equal(t.reps, raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        assert np.array_equal(t.categories, category) and t.categories.dtype == np.int64
+        assert np.array_equal(recsim_action_table(config).reps, t.reps)

@@ -6,6 +6,8 @@ from savo.envs import (
     BanditEnv,
     BanditLandscape,
     CartPoleEnv,
+    Env,
+    EpisodeDoneError,
     MiningConfig,
     MiningEnv,
     RecsimConfig,
@@ -112,10 +114,18 @@ def test_cartpole_reset_seed_reproduces_episode():
     env = CartPoleEnv(seed=0)
     rng = np.random.default_rng(9)
     actions = rng.uniform(-1, 1, size=(50, 1))
-    env.reset(seed=4)
-    first = [env.step(a) for a in actions]
-    env.reset(seed=4)
-    second = [env.step(a) for a in actions]
+
+    def episode():
+        env.reset(seed=4)
+        steps = []
+        for a in actions:
+            steps.append(env.step(a))
+            if steps[-1][2]:
+                break
+        return steps
+
+    first, second = episode(), episode()
+    assert len(first) == len(second)
     for (o1, r1, d1, _), (o2, r2, d2, _) in zip(first, second):
         assert np.array_equal(o1, o2)
         assert (r1, d1) == (r2, d2)
@@ -248,15 +258,6 @@ def test_mining_invalid_action_raises():
         env.step(env.config.n_actions)
 
 
-def test_mining_reset_seed_reproduces_layout():
-    env = small_mining()
-    a = env.reset(seed=12)
-    grid_a = env._grid.copy()
-    b = env.reset(seed=12)
-    assert np.array_equal(a, b)
-    assert np.array_equal(grid_a, env._grid)
-
-
 def test_tool_map_is_function_with_terminating_chains():
     mapping = make_tool_map(seed=0, n_types=50)
     assert len(mapping) == 50
@@ -358,14 +359,13 @@ def test_recsim_horizon_and_bad_id():
     assert steps == 20
 
 
-def test_recsim_reset_seed_reproduces_episode():
-    env = RecsimEnv(RecsimConfig(n_items=25, n_categories=4), seed=0)
-    env.reset(seed=3)
-    first = [env.step(i % 25) for i in range(20)]
-    env.reset(seed=3)
-    second = [env.step(i % 25) for i in range(20)]
-    for (o1, r1, d1, _), (o2, r2, d2, _) in zip(first, second):
-        assert np.array_equal(o1, o2) and (r1, d1) == (r2, d2)
+def test_recsim_click_probability_takes_only_ids_in_the_table():
+    env = RecsimEnv(RecsimConfig(n_items=20, n_categories=4), seed=0)
+    env.reset(seed=0)
+    for bad in (-1, 20, 2.7):
+        with pytest.raises(ValueError):
+            env.click_probability(bad)
+    assert env.click_probability(np.int64(19)) == env.click_probability(19)
 
 
 # ------------------------------------------------------------------- bandit
@@ -618,3 +618,108 @@ def test_make_env_ids():
     assert make_env("bandit", seed=0, landscape=landscape).landscape is landscape
     with pytest.raises(ValueError):
         make_env("nope")
+
+
+# ----------------------------------------------------------------- contract
+
+# factory and reset seed of each env the contract test runs
+CONTRACT_ENVS = {
+    "bandit": (lambda: BanditEnv(seed=0), 5),
+    "cartpole": (lambda: CartPoleEnv(restriction=CANONICAL_RESTRICTION, horizon=30, seed=0), 4),
+    "mining": (lambda: small_mining(), 12),
+    "recsim": (lambda: RecsimEnv(RecsimConfig(n_items=25, n_categories=4), seed=0), 3),
+}
+
+
+def private_state(env) -> dict:
+    """Everything a step may move: the rng, ``_t``, the done latch and the
+    dynamics' own state (mining's ``_grid``, cart-pole's ``_state``, ...)."""
+
+    def frozen(v):
+        if isinstance(v, np.random.Generator):
+            return v.bit_generator.state
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, v.tobytes()
+        return v
+
+    return {k: frozen(v) for k, v in vars(env).items() if k.startswith("_")}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_ENVS))
+def test_env_contract(name):
+    make, seed = CONTRACT_ENVS[name]
+    env = make()
+    before = private_state(env)
+    with pytest.raises(EpisodeDoneError):  # no episode before the first reset
+        env.step(0 if env.discrete else np.zeros(env.action_dim))
+    assert private_state(env) == before
+    assert env.discrete == (env.action_table is not None)
+    if env.discrete:
+        n = len(env.action_table)
+        actions = [i % n for i in range(env.horizon)]
+        bad_actions = [np.array([1]), float("nan"), 2.7, -1, n]
+    else:
+        d = env.action_dim
+        assert env.action_low.shape == env.action_high.shape == (d,)
+        actions = list(np.random.default_rng(9).uniform(env.action_low, env.action_high, size=(env.horizon, d)))
+        bad_actions = [np.zeros(d + 1), np.zeros((1, d)), 0.5, np.append(np.zeros(d), np.nan),
+                       np.full(d, np.nan), np.full(d, np.inf), np.full(d, -np.inf)]
+
+    def episode():
+        obs = env.reset(seed=seed)
+        assert obs.shape == (env.observation_dim,)
+        steps = [(obs.tobytes(), private_state(env))]
+        for a in actions:
+            obs, reward, done, _ = env.step(a)
+            assert obs.shape == (env.observation_dim,)
+            steps.append((obs.tobytes(), reward, done, private_state(env)))
+            if done:
+                return steps
+        raise AssertionError("the episode outlived its horizon")
+
+    # a reseed reproduces the episode, env state included
+    assert episode() == episode()
+
+    # the episode is done: every step raises, and changes nothing, until reset
+    before = private_state(env)
+    for _ in range(2):
+        with pytest.raises(EpisodeDoneError):
+            env.step(actions[0])
+    assert private_state(env) == before
+    env.reset()
+    env.step(actions[0])
+
+    # a bad action raises before _t, the rng or any other state moves
+    env.reset(seed=seed)
+    before = private_state(env)
+    for bad in bad_actions:
+        with pytest.raises(ValueError):
+            env.step(bad)
+        assert private_state(env) == before
+
+
+def test_envs_keep_only_their_dynamics():
+    envs = Env.__subclasses__()
+    assert set(envs) == {BanditEnv, CartPoleEnv, MiningEnv, RecsimEnv}
+    for cls in envs:
+        assert not {"step", "reset"} & set(vars(cls)), cls.__name__
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CartPoleEnv(horizon=0),
+        lambda: CartPoleEnv(horizon=-1),
+        lambda: CartPoleEnv(horizon=2.5),
+        lambda: RecsimEnv(RecsimConfig(n_items=5, n_categories=2, horizon=0)),
+        lambda: small_mining(n_max=0),
+        lambda: MiningConfig(grid_size=3),  # the goal would be the start cell
+        lambda: MiningConfig(grid_size=2),  # the goal would be a wall
+        lambda: RecsimConfig(n_categories=0),
+    ],
+    ids=["cartpole-horizon-0", "cartpole-horizon-negative", "cartpole-horizon-float", "recsim-horizon-0",
+         "mining-n_max-0", "mining-grid-3", "mining-grid-2", "recsim-no-categories"],
+)
+def test_degenerate_episode_shapes_are_rejected_at_construction(make):
+    with pytest.raises(ValueError):
+        make()
