@@ -26,8 +26,8 @@ One kernel, ``_rank_rows``, does every lookup in two passes:
    in the first k therefore survives the screen (the argument is at
    ``_margin``), and the re-rank orders the survivors as the scan would.
 
-``nearest`` and ``knn`` return action ids; ``nearest_rows`` returns row
-indices, for callers that index ``reps`` with them.
+An action id is its row: ``nearest``, ``knn`` and ``nearest_rows`` all
+return rows of ``reps``, and ``checked_id`` is the one check of an id.
 """
 
 from __future__ import annotations
@@ -61,13 +61,21 @@ def _build_index(reps: np.ndarray) -> _Index:
     return _Index(centre, screen_matrix, float(np.sqrt(sq_norms.max())))
 
 
+def checked_id(action_id, n: int) -> int:
+    """A discrete action as an int in [0, n). Only Python and numpy integers
+    are ids: a float or a bool raises ``ValueError`` instead of truncating."""
+    if isinstance(action_id, bool) or not isinstance(action_id, (int, np.integer)):
+        raise ValueError(f"action id must be an integer, got {action_id!r}")
+    if not 0 <= action_id < n:
+        raise ValueError(f"action id {action_id} out of range")
+    return int(action_id)
+
+
 @dataclass
 class ActionTable:
-    """Immutable id -> representation lookup with optional category labels."""
+    """Immutable table of N distinct, finite representations; action id i is row i."""
 
     reps: np.ndarray  # (N, D)
-    ids: tuple[int, ...] = ()
-    categories: np.ndarray | None = None  # (N,) ints
 
     def __post_init__(self):
         self.reps = np.array(self.reps, dtype=np.float64)  # a private copy, frozen below
@@ -75,20 +83,9 @@ class ActionTable:
             raise ActionTableError("representation matrix must be (N >= 1, D)")
         if not np.all(np.isfinite(self.reps)):
             raise ActionTableError("representations must be finite")
-        self.ids = tuple(self.ids) or tuple(range(self.reps.shape[0]))
-        if len(self.ids) != self.reps.shape[0]:
-            raise ActionTableError("id count must match representation rows")
-        self._row_of = {action_id: row for row, action_id in enumerate(self.ids)}
-        if len(self._row_of) != len(self.ids):
-            raise ActionTableError("ids must be unique")
         uniq = np.unique(self.reps, axis=0)
         if uniq.shape[0] != self.reps.shape[0]:
             raise ActionTableError("duplicate representation rows make nearest() ambiguous")
-        if self.categories is not None:
-            self.categories = np.array(self.categories)
-            if self.categories.shape != (len(self.ids),):
-                raise ActionTableError(f"categories must be ({len(self.ids)},), got shape {self.categories.shape}")
-            self.categories.setflags(write=False)
         self.reps.setflags(write=False)
         self._index = _build_index(self.reps)
 
@@ -99,8 +96,12 @@ class ActionTable:
     def dim(self) -> int:
         return self.reps.shape[1]
 
+    @property
+    def ids(self) -> range:
+        return range(len(self))
+
     def rep_of(self, action_id: int) -> np.ndarray:
-        return self.reps[self._row_of[action_id]]
+        return self.reps[checked_id(action_id, len(self))]
 
 
 _EPS = np.finfo(np.float64).eps
@@ -183,7 +184,7 @@ def _checked_queries(queries, table: ActionTable, batch: bool) -> np.ndarray:
 
 def nearest(a: np.ndarray, table: ActionTable) -> int:
     """Id of the closest row in Euclidean distance; ties go to the lowest index."""
-    return table.ids[int(_rank_rows(_checked_queries(a, table, batch=False), table, 1)[0, 0])]
+    return int(_rank_rows(_checked_queries(a, table, batch=False), table, 1)[0, 0])
 
 
 def knn(a: np.ndarray, table: ActionTable, k: int) -> list[int]:
@@ -192,18 +193,12 @@ def knn(a: np.ndarray, table: ActionTable, k: int) -> list[int]:
         raise ActionTableError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= len(table):
         raise ActionTableError(f"k must be in [1, {len(table)}], got {k}")
-    rows = _rank_rows(_checked_queries(a, table, batch=False), table, int(k))[0]
-    ids = table.ids
-    return [ids[i] for i in rows.tolist()]
+    return _rank_rows(_checked_queries(a, table, batch=False), table, int(k))[0].tolist()
 
 
 def nearest_rows(queries: np.ndarray, table: ActionTable) -> np.ndarray:
-    """Row indices of the nearest representation for a batch of queries.
-
-    Returns (B,) row indices into ``table.reps``, not action ids: with
-    ``ids=(10, 20, 30)``, ``nearest_rows`` gives ``[1]`` where ``nearest``
-    gives ``20``. Ties go to the lowest row, as in ``nearest``. A single
-    (D,) query is a batch of one.
-    """
+    """(B,) ids, that is rows, of the nearest representation for a batch of
+    queries. Ties go to the lowest row, as in ``nearest``; a single (D,) query
+    is a batch of one."""
     return _rank_rows(_checked_queries(queries, table, batch=True), table, 1)[:, 0]
 

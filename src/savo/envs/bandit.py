@@ -232,11 +232,8 @@ class BanditEnv(Env):
     observation_dim = 1
 
     def __init__(self, landscape: BanditLandscape | None = None, seed: int = 0):
-        super().__init__(seed, horizon=1)
         self.landscape = landscape or canonical_adversarial()
-        self.action_low = self.landscape.low
-        self.action_high = self.landscape.high
-        self.action_dim = self.landscape.dim
+        super().__init__(seed, 1, (self.landscape.low, self.landscape.high))
 
     def _reset(self) -> np.ndarray:
         return np.zeros(1)

@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 
-from ..actions import ActionTable
+from ..actions import ActionTable, checked_id
 
 
 class EpisodeDoneError(RuntimeError):
-    """A step outside an episode: before the first ``reset``, or after
-    ``done`` before the next one."""
+    """A step outside an episode: before a ``reset`` has returned, or after
+    ``done``."""
 
 
 class Env:
@@ -23,23 +23,31 @@ class Env:
     and ``_step(action) -> (obs, reward, terminal, info)``, which gets a
     checked action after ``_t`` has counted the step.
 
-    A discrete env has an ``action_table`` and takes integer ids into it
-    (``checked_id``); a continuous env takes finite vectors of shape
-    ``(action_dim,)``, clipped to ``action_low/high``. Any other action
-    raises ``ValueError`` before any state changes. ``done`` is
-    ``terminal or _t >= horizon``; a step after it, or before the first
-    ``reset``, raises ``EpisodeDoneError``.
+    ``__init__`` takes the action space: a discrete env's ``ActionTable``,
+    whose integer ids ``step`` takes (``checked_id``), or a continuous env's
+    ``(low, high)`` box, kept as read-only copies; ``step`` takes finite
+    vectors of shape ``(action_dim,)`` and clips them to it. Any other action
+    raises ``ValueError`` before any state changes. ``done`` is ``terminal or
+    _t >= horizon``; a step after it, or before a ``reset`` has returned,
+    raises ``EpisodeDoneError``.
     """
 
     observation_dim: int
-    action_dim: int
-    action_low: np.ndarray
-    action_high: np.ndarray
-    action_table: ActionTable | None = None
 
-    def __init__(self, seed: int, horizon: int):
+    def __init__(self, seed: int, horizon: int, actions: ActionTable | tuple):
         if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
             raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+        if isinstance(actions, ActionTable):
+            self.action_table, self.action_dim = actions, actions.dim
+            self._low = self._high = None
+        else:
+            low, high = (np.array(bound, dtype=np.float64) for bound in actions)
+            if low.ndim != 1 or not low.size or high.shape != low.shape or not (low < high).all():
+                raise ValueError(f"the action box must be vectors low < high of one length, got {actions!r}")
+            low.setflags(write=False)
+            high.setflags(write=False)
+            self.action_table, self.action_dim = None, len(low)
+            self._low, self._high = low, high
         self.horizon = int(horizon)
         self._rng = np.random.default_rng(seed)
         self._t = 0
@@ -49,12 +57,17 @@ class Env:
     def discrete(self) -> bool:
         return self.action_table is not None
 
+    # the box's bounds, read-only; None for a discrete env
+    action_low = property(lambda self: self._low)
+    action_high = property(lambda self: self._high)
+
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
             self._rng = np.random.default_rng(seed)
-        self._t = 0
+        self._t, self._done = 0, True  # the latch lifts only once _reset returns
+        obs = self._reset()
         self._done = False
-        return self._reset()
+        return obs
 
     def step(self, action):
         if self._done:
@@ -65,7 +78,7 @@ class Env:
             a = np.asarray(action, dtype=np.float64)
             if a.shape != (self.action_dim,) or not all(map(math.isfinite, a.tolist())):
                 raise ValueError(f"action must be a finite vector of shape ({self.action_dim},), got {action!r}")
-            action = np.clip(a, self.action_low, self.action_high)
+            action = np.clip(a, self._low, self._high)
         self._t += 1
         obs, reward, terminal, info = self._step(action)
         self._done = done = bool(terminal) or self._t >= self.horizon
@@ -77,12 +90,3 @@ class Env:
     def _step(self, action):
         raise NotImplementedError
 
-
-def checked_id(action_id, n: int) -> int:
-    """A discrete action as an int in [0, n). Only Python and numpy integers
-    are ids: a float or a bool raises ``ValueError`` instead of truncating."""
-    if isinstance(action_id, bool) or not isinstance(action_id, (int, np.integer)):
-        raise ValueError(f"action id must be an integer, got {action_id!r}")
-    if not 0 <= action_id < n:
-        raise ValueError(f"action id {action_id} out of range")
-    return int(action_id)

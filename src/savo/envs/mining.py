@@ -66,7 +66,7 @@ class MiningConfig:
                 raise ValueError("tool applies to an unknown mine type")
             if outcome != BREAK and not 0 <= outcome < self.n_mine_types:
                 raise ValueError("tool outcome must be BREAK or a mine type")
-        for name in ("r_goal", "r_step", "r_tool", "r_bonus", "lambda_goal"):
+        for name in ("r_goal", "r_step", "r_tool", "r_bonus", "lambda_goal", "n_mines"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -85,19 +85,17 @@ def mining_action_table(config: MiningConfig) -> ActionTable:
     for _, (mine_type, outcome) in enumerate(config.tool_map):
         out = 1.0 if outcome == BREAK else outcome / k
         rows.append([1.0, 0.0, mine_type / max(k - 1, 1), out])
-    cats = np.array([0] * 4 + [1] * config.n_tools)
-    return ActionTable(reps=np.asarray(rows), categories=cats)
+    return ActionTable(reps=np.asarray(rows))
 
 
 class MiningEnv(Env):
     def __init__(self, config: MiningConfig | None = None, seed: int = 0):
         self.config = config or MiningConfig()
-        super().__init__(seed, self.config.n_max)
+        super().__init__(seed, self.config.n_max, mining_action_table(self.config))
         g = self.config.grid_size
         self.start = (1, 1)
         self.goal = (g - 2, g - 2)
         self.observation_dim = 8 + self.config.n_mine_types
-        self.action_table = mining_action_table(self.config)
         self._grid = np.full((g, g), _EMPTY, dtype=np.int64)
         self._pos = self.start
         self._dir = RIGHT

@@ -40,6 +40,8 @@ class RestrictionSpec:
             raise ValueError("need one radius per sphere center")
         if self.centers.shape[0] and np.any(self.radii <= 0.0):
             raise ValueError("sphere radii must be positive")
+        if self.replacement.shape != self.centers.shape[1:]:
+            raise ValueError(f"replacement must be ({self.centers.shape[1]},), got shape {self.replacement.shape}")
         if not all(np.isfinite(x).all() for x in (self.centers, self.radii, self.replacement)):
             raise ValueError("restriction centers, radii and replacement must be finite")
 
@@ -99,14 +101,13 @@ class CartPoleEnv(Env):
     """Semi-implicit Euler cart-pole; +1 reward per step while the pole is upright."""
 
     observation_dim = 4
-    action_dim = 1
-    action_low = np.array([-1.0])
-    action_high = np.array([1.0])
 
     _obs_scale = np.array([2.4, 3.0, THETA_LIMIT, 3.0])
 
     def __init__(self, restriction: RestrictionSpec | None = None, horizon: int = 500, seed: int = 0):
-        super().__init__(seed, horizon)
+        super().__init__(seed, horizon, ([-1.0], [1.0]))
+        if restriction is not None and restriction.centers.shape[1] != self.action_dim:
+            raise ValueError(f"a cart-pole restriction must be 1-D, got centers of shape {restriction.centers.shape}")
         self.restriction = restriction
         self._state = np.zeros(4)  # x, x_dot, theta, theta_dot
 

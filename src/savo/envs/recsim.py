@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..actions import ActionTable
-from .base import Env, checked_id
+from .base import Env
 
 
 @dataclass
@@ -37,14 +37,13 @@ def recsim_action_table(config: RecsimConfig) -> ActionTable:
     centers = rng.uniform(-1.0, 1.0, size=(c, c))
     category = rng.integers(0, c, size=config.n_items)
     reps = centers[category] + 0.3 * rng.standard_normal((config.n_items, c))
-    return ActionTable(reps=reps / np.linalg.norm(reps, axis=1, keepdims=True), categories=category)
+    return ActionTable(reps=reps / np.linalg.norm(reps, axis=1, keepdims=True))
 
 
 class RecsimEnv(Env):
     def __init__(self, config: RecsimConfig | None = None, seed: int = 0):
         self.config = config or RecsimConfig()
-        super().__init__(seed, self.config.horizon)
-        self.action_table = recsim_action_table(self.config)
+        super().__init__(seed, self.config.horizon, recsim_action_table(self.config))
         self.observation_dim = self.config.n_categories
         self._user = np.zeros(self.observation_dim)
 
@@ -55,7 +54,7 @@ class RecsimEnv(Env):
 
     def click_probability(self, item_id: int) -> float:
         """Raises ``ValueError`` unless ``item_id`` is an integer id in the table."""
-        return self._click_probability(self.action_table.reps[checked_id(item_id, len(self.action_table))])
+        return self._click_probability(self.action_table.rep_of(item_id))
 
     def _click_probability(self, rep: np.ndarray) -> float:
         e_score = np.exp(float(self._user @ rep))

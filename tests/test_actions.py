@@ -25,8 +25,8 @@ def assert_matches_scan(t, queries, k):
     rows = nearest_rows(queries, t)
     for q, row in zip(queries, rows):
         order = scan(q, t.reps)
-        assert knn(q, t, k) == [t.ids[i] for i in order[:k]]
-        assert nearest(q, t) == t.ids[order[0]]
+        assert knn(q, t, k) == order[:k]
+        assert nearest(q, t) == order[0]
         assert row == order[0]
 
 
@@ -89,7 +89,7 @@ def test_knn_is_prefix_closed():
 def test_nearest_of_own_rep_is_identity():
     rng = np.random.default_rng(3)
     t = ActionTable(reps=rng.standard_normal((50, 4)))
-    for action_id in t.ids:
+    for action_id in range(len(t)):
         assert nearest(t.rep_of(action_id), t) == action_id
 
 
@@ -100,13 +100,14 @@ def test_nearest_rows_matches_scalar_nearest():
     batch = nearest_rows(queries, t)
     assert batch.shape == (1000,)
     for q, row in zip(queries, batch):
-        assert t.ids[int(row)] == nearest(q, t)
+        assert int(row) == nearest(q, t)
 
 
 def test_nearest_rows_returns_rows_where_nearest_returns_ids():
-    t = ActionTable(reps=np.array([[0.0], [0.5], [1.0]]), ids=[10, 20, 30])
-    assert nearest(np.array([0.6]), t) == 20
-    assert nearest_rows(np.array([0.6]), t).tolist() == [1]
+    """An action id is its row, so both return the same number."""
+    t = line_table()
+    q = np.array([0.6])
+    assert nearest_rows(q, t)[0] == nearest(q, t) == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -185,7 +186,7 @@ def test_overflowing_lookups_raise_no_warning():
         rows = nearest_rows(queries, t)
         picks = [(nearest(q, t), knn(q, t, 3)) for q in queries]
     assert rows.tolist() == [order[0] for order in orders]
-    assert picks == [(t.ids[order[0]], [t.ids[i] for i in order]) for order in orders]
+    assert picks == [(order[0], order) for order in orders]
 
 def test_exact_ties_on_integer_lattice_for_every_k():
     axis = np.arange(4.0)
@@ -207,7 +208,7 @@ def test_exact_at_tiny_scale():
 
 
 def test_single_row_table():
-    t = ActionTable(reps=np.array([[2.0, -1.0]]), ids=[42])
+    t = ActionTable(reps=np.array([[2.0, -1.0]]))
     queries = np.array([[2.0, -1.0], [1e6, 3.0], [-5.0, 0.0]])
     assert_matches_scan(t, queries, k=1)
     assert nearest_rows(queries, t).tolist() == [0, 0, 0]
@@ -242,19 +243,25 @@ def test_changing_callers_reps_changes_no_result():
     assert np.array_equal(before[1], after[1])
 
 
-def test_table_ids_and_categories_are_immutable():
-    reps, cats = np.array([[0.0], [0.5], [1.0]]), np.array([0, 1, 1])
-    t = ActionTable(reps=reps, ids=[10, 20, 30], categories=cats)
-    with pytest.raises(AttributeError):
-        t.ids.append(9)
-    with pytest.raises(ValueError):
-        t.categories[0] = 5
+def test_table_is_immutable_and_ids_are_rows():
+    reps = np.array([[0.0], [0.5], [1.0]])
+    t = ActionTable(reps=reps)
     with pytest.raises(ValueError):
         t.reps[0, 0] = 5.0
-    reps[0, 0], cats[0] = 5.0, 5  # the caller's arrays stay its own
-    assert t.reps[0, 0] == 0.0 and t.categories[0] == 0
-    assert t.ids == (10, 20, 30)
-    assert np.array_equal(t.rep_of(20), [0.5])
+    reps[0, 0] = 5.0  # the caller's array stays its own
+    assert t.reps[0, 0] == 0.0
+    assert t.ids == range(len(t))
+    with pytest.raises(AttributeError):
+        t.ids = range(5)
+    assert np.array_equal(t.rep_of(1), [0.5])
+    with pytest.raises(TypeError):  # the table takes no labels of its own
+        ActionTable(reps=reps, ids=[10, 20, 30])
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 2.7, 1.0, True, np.float64(1.0)])
+def test_rep_of_takes_only_ids_in_the_table(bad):
+    with pytest.raises(ValueError):
+        line_table().rep_of(bad)
 
 
 def test_duplicate_rows_rejected():
@@ -267,13 +274,6 @@ def test_empty_table_rejected():
         ActionTable(reps=np.zeros((0, 2)))
 
 
-def test_mislabelled_categories_rejected():
-    with pytest.raises(ActionTableError):
-        ActionTable(reps=np.eye(3), categories=[0, 1])
-    with pytest.raises(ActionTableError):
-        ActionTable(reps=np.eye(3), categories=[[0, 1, 2]])
-
-
 def test_recsim_table_is_the_normalised_gmm_draw():
     """The table equals the draw of the general mixture sampler it replaced:
     centres, categories and noise from one generator in that order."""
@@ -281,9 +281,8 @@ def test_recsim_table_is_the_normalised_gmm_draw():
         rng = np.random.default_rng(config.table_seed)
         c = config.n_categories
         centers = rng.uniform(-1.0, 1.0, size=(c, c))
-        category = rng.integers(0, c, size=config.n_items).astype(np.int64)
+        category = rng.integers(0, c, size=config.n_items)
         raw = centers[category] + 0.3 * rng.standard_normal((config.n_items, c))
         t = recsim_action_table(config)
         assert np.array_equal(t.reps, raw / np.linalg.norm(raw, axis=1, keepdims=True))
-        assert np.array_equal(t.categories, category) and t.categories.dtype == np.int64
         assert np.array_equal(recsim_action_table(config).reps, t.reps)

@@ -54,8 +54,12 @@ def test_check_valid_empty_sphere_list():
     ([[0.0]], [np.inf], [-1.0]),
     ([[0.0]], [0.1], [np.nan]),
     ([[0.0]], [0.1], [-np.inf]),
+    ([[0.5, -3.0]], [0.2], [-1.0]),
+    ([[0.5]], [0.2], [-1.0, 7.0]),
+    (np.zeros((0, 2)), np.zeros(0), [-1.0]),
 ], ids=["zero_radius", "negative_radius", "nan_center_and_replacement", "inf_center", "nan_radius",
-        "inf_radius", "nan_replacement", "inf_replacement"])
+        "inf_radius", "nan_replacement", "inf_replacement", "short_replacement", "long_replacement",
+        "empty_short_replacement"])
 def test_restriction_rejects_bad_spec(centers, radii, replacement):
     with pytest.raises(ValueError):
         RestrictionSpec(centers=centers, radii=radii, replacement=replacement)
@@ -272,8 +276,7 @@ def test_mining_action_table_shape_and_bounds():
     assert len(table) == 54
     assert table.dim == 4
     assert np.all(table.reps >= 0.0) and np.all(table.reps <= 1.0)
-    assert list(table.categories[:4]) == [0, 0, 0, 0]
-    assert all(c == 1 for c in table.categories[4:])
+    assert np.array_equal(table.reps[:, 0], [0.0] * 4 + [1.0] * 50)  # four moves, then the tools
 
 
 def test_mining_action_table_single_mine_type():
@@ -656,6 +659,7 @@ def test_env_contract(name):
     assert env.discrete == (env.action_table is not None)
     if env.discrete:
         n = len(env.action_table)
+        assert env.action_dim == env.action_table.dim and env.action_low is env.action_high is None
         actions = [i % n for i in range(env.horizon)]
         bad_actions = [np.array([1]), float("nan"), 2.7, -1, n]
     else:
@@ -701,8 +705,64 @@ def test_env_contract(name):
 def test_envs_keep_only_their_dynamics():
     envs = Env.__subclasses__()
     assert set(envs) == {BanditEnv, CartPoleEnv, MiningEnv, RecsimEnv}
+    owned_by_env = {"step", "reset", "action_low", "action_high", "action_dim", "action_table"}
     for cls in envs:
-        assert not {"step", "reset"} & set(vars(cls)), cls.__name__
+        assert not owned_by_env & set(vars(cls)), cls.__name__
+
+
+def test_action_bounds_are_read_only_copies():
+    landscape = canonical_adversarial()
+    envs = [CartPoleEnv(seed=0), BanditEnv(landscape)]
+    for env in envs:
+        for bound in (env.action_low, env.action_high):
+            with pytest.raises(ValueError):
+                bound[0] = 0.2
+        with pytest.raises(AttributeError):
+            env.action_high = np.array([0.2])
+        with pytest.raises(AttributeError):
+            env.action_low = np.array([0.5])
+    assert np.array_equal(landscape.low, [-1.0]) and np.array_equal(landscape.high, [1.0])
+    assert not np.shares_memory(envs[1].action_low, landscape.low)
+    other = CartPoleEnv(seed=1)
+    other.reset(seed=0)
+    assert other.step(np.array([0.9]))[3]["executed"].tolist() == [0.9]
+
+
+@pytest.mark.parametrize("low, high", [
+    ([[-1.0]], [[1.0]]),
+    ([-1.0], [1.0, 2.0]),
+    ([], []),
+    ([1.0], [1.0]),
+    ([1.0, 0.0], [2.0, -1.0]),
+    ([np.nan], [1.0]),
+])
+def test_env_rejects_a_bad_action_box(low, high):
+    with pytest.raises(ValueError):
+        Env(0, 1, (low, high))
+
+
+def test_a_failed_reset_starts_no_episode():
+    fresh = Env(0, 5, ([-1.0], [1.0]))  # the base has no dynamics: its _reset raises
+    with pytest.raises(NotImplementedError):
+        fresh.reset()
+    with pytest.raises(EpisodeDoneError):
+        fresh.step(np.zeros(1))
+
+    env = CartPoleEnv(seed=0)
+    env.reset(seed=0)
+    env.step(np.zeros(1))
+
+    def broken_reset():
+        raise RuntimeError("reset failed")
+
+    env._reset = broken_reset
+    with pytest.raises(RuntimeError):
+        env.reset(seed=1)
+    with pytest.raises(EpisodeDoneError):
+        env.step(np.zeros(1))
+    del env._reset
+    env.reset(seed=1)
+    env.step(np.zeros(1))
 
 
 @pytest.mark.parametrize(
@@ -716,9 +776,12 @@ def test_envs_keep_only_their_dynamics():
         lambda: MiningConfig(grid_size=3),  # the goal would be the start cell
         lambda: MiningConfig(grid_size=2),  # the goal would be a wall
         lambda: RecsimConfig(n_categories=0),
+        lambda: MiningConfig(n_mines=-1),
+        lambda: CartPoleEnv(restriction=RestrictionSpec(centers=[[0.5, -3.0]], radii=[0.2], replacement=[-1.0, 7.0])),
     ],
     ids=["cartpole-horizon-0", "cartpole-horizon-negative", "cartpole-horizon-float", "recsim-horizon-0",
-         "mining-n_max-0", "mining-grid-3", "mining-grid-2", "recsim-no-categories"],
+         "mining-n_max-0", "mining-grid-3", "mining-grid-2", "recsim-no-categories", "mining-n_mines-negative",
+         "cartpole-restriction-2d"],
 )
 def test_degenerate_episode_shapes_are_rejected_at_construction(make):
     with pytest.raises(ValueError):
