@@ -70,14 +70,14 @@ def count_local_optima(values: np.ndarray) -> int:
 
 def surrogate_values(q_values: np.ndarray, anchor_q: np.ndarray) -> list[np.ndarray]:
     """Exact surrogate chain on a grid: level i floors Q at the best of the
-    first i anchor Q-values. Returns [Q, floor_1, ..., floor_k]."""
-    out = [np.asarray(q_values, dtype=np.float64)]
+    first i anchor Q-values. Returns [Q, floor_1, ..., floor_k]. Raises
+    ``ValueError``, before any level is built, unless Q is finite and the
+    anchors are a finite vector."""
+    q = np.asarray(q_values, dtype=np.float64)
     anchor_q = np.atleast_1d(np.asarray(anchor_q, dtype=np.float64))
-    tau = -np.inf
-    for i in range(anchor_q.shape[0]):
-        tau = max(tau, float(anchor_q[i]))
-        out.append(np.maximum(out[0], tau))
-    return out
+    if anchor_q.ndim != 1 or not (np.isfinite(q).all() and np.isfinite(anchor_q).all()):
+        raise ValueError("need finite Q values and a vector of finite anchor Q-values")
+    return [q] + [np.maximum(q, tau) for tau in np.maximum.accumulate(anchor_q)]
 
 
 def surrogate_optima_profile(q_values: np.ndarray, anchor_q: np.ndarray) -> list[int]:

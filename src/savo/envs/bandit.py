@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import Env
+from .base import Env, frozen_copy
 
 # Points per axis of the grid that `BanditLandscape` scans for its argmax.
 _SCAN_POINTS_1D = 10_001
@@ -78,6 +78,8 @@ class BanditLandscape:
     ``(M, D)`` with ``D = len(low) = len(high)`` in {1, 2}, ``heights`` and
     ``widths`` are ``(M,)`` with ``M >= 1``, every value is finite, every width
     is positive with ``2 w^2 > 0`` in float64, and ``low < high`` on each axis.
+    The arrays, ``argmax`` too, are private read-only copies, so the two
+    stay those of the mixture.
     """
 
     low: np.ndarray
@@ -89,11 +91,11 @@ class BanditLandscape:
     max_value: float = field(init=False)
 
     def __post_init__(self):
-        self.low = np.atleast_1d(np.asarray(self.low, dtype=np.float64))
-        self.high = np.atleast_1d(np.asarray(self.high, dtype=np.float64))
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
-        self.heights = np.atleast_1d(np.asarray(self.heights, dtype=np.float64))
-        self.widths = np.atleast_1d(np.asarray(self.widths, dtype=np.float64))
+        self.low = frozen_copy(self.low, ndmin=1)
+        self.high = frozen_copy(self.high, ndmin=1)
+        self.centers = frozen_copy(self.centers, ndmin=2)
+        self.heights = frozen_copy(self.heights, ndmin=1)
+        self.widths = frozen_copy(self.widths, ndmin=1)
         self._validate()
         axes = self._axes(_SCAN_POINTS_1D if self.dim == 1 else _SCAN_POINTS_ND)
         screen, margin = self._screen(axes)
@@ -104,7 +106,7 @@ class BanditLandscape:
         # with E = 0 the screen is exact already
         exact = flat[shortlist] if margin == 0.0 else self._mixture(coords)
         best = int(np.argmax(exact))
-        self.argmax = np.array([x[best] for x in coords])
+        self.argmax = frozen_copy([x[best] for x in coords])
         self.max_value = float(exact[best])
 
     def _validate(self) -> None:

@@ -9,6 +9,13 @@ import numpy as np
 from ..actions import ActionTable, checked_id
 
 
+def frozen_copy(values, ndmin: int = 0) -> np.ndarray:
+    """A private read-only float64 copy of ``values`` with at least ``ndmin`` axes."""
+    out = np.array(values, dtype=np.float64, ndmin=ndmin)
+    out.setflags(write=False)
+    return out
+
+
 class EpisodeDoneError(RuntimeError):
     """A step outside an episode: before a ``reset`` has returned, or after
     ``done``."""
@@ -41,11 +48,9 @@ class Env:
             self.action_table, self.action_dim = actions, actions.dim
             self._low = self._high = None
         else:
-            low, high = (np.array(bound, dtype=np.float64) for bound in actions)
+            low, high = (frozen_copy(bound) for bound in actions)
             if low.ndim != 1 or not low.size or high.shape != low.shape or not (low < high).all():
                 raise ValueError(f"the action box must be vectors low < high of one length, got {actions!r}")
-            low.setflags(write=False)
-            high.setflags(write=False)
             self.action_table, self.action_dim = None, len(low)
             self._low, self._high = low, high
         self.horizon = int(horizon)

@@ -22,12 +22,20 @@ BREAK = -1
 _EMPTY = -1
 _WALL = -2
 
+R_GOAL = 10.0  # reaching the goal at t = 0; LAMBDA_GOAL of it decays linearly to t = HORIZON
+R_STEP = 0.1  # per cell of Manhattan distance gained
+R_TOOL = 0.1  # applying the tool that matches the mine in front
+R_BONUS = 0.1  # extra, when that tool breaks the mine
+LAMBDA_GOAL = 0.9
+HORIZON = 100
+BREAK_FRACTION = 0.7  # share of tools that break their mine outright
 
-def make_tool_map(seed: int, n_types: int, break_fraction: float = 0.7) -> list[tuple[int, int]]:
+
+def make_tool_map(seed: int, n_types: int) -> list[tuple[int, int]]:
     """tool t -> (applicable mine type, outcome); outcome is BREAK or a target type
     whose tool breaks, so every clearing chain has length at most two."""
     rng = np.random.default_rng(seed)
-    n_break = max(1, int(round(break_fraction * n_types)))
+    n_break = max(1, int(round(BREAK_FRACTION * n_types)))
     breakers = set(rng.choice(n_types, size=n_break, replace=False).tolist())
     mapping = []
     break_list = sorted(breakers)
@@ -43,36 +51,21 @@ def make_tool_map(seed: int, n_types: int, break_fraction: float = 0.7) -> list[
 class MiningConfig:
     grid_size: int = 10
     n_mine_types: int = 50
-    n_tools: int = 50
-    r_goal: float = 10.0
-    r_step: float = 0.1
-    r_tool: float = 0.1
-    r_bonus: float = 0.1
-    lambda_goal: float = 0.9
-    n_max: int = 100
     n_mines: int = 8
-    tool_map: list[tuple[int, int]] = field(default_factory=list)
-    tool_map_seed: int = 0
+    tool_map: list[tuple[int, int]] = field(init=False)  # make_tool_map(0, n_mine_types): one tool per type
 
     def __post_init__(self):
         if self.grid_size < 4:
             raise ValueError("grid_size must be at least 4: the start and the goal are distinct inner cells")
-        if not self.tool_map:
-            self.tool_map = make_tool_map(self.tool_map_seed, self.n_mine_types)
-        if len(self.tool_map) != self.n_tools:
-            raise ValueError("need one mapping entry per tool")
-        for mine_type, outcome in self.tool_map:
-            if not 0 <= mine_type < self.n_mine_types:
-                raise ValueError("tool applies to an unknown mine type")
-            if outcome != BREAK and not 0 <= outcome < self.n_mine_types:
-                raise ValueError("tool outcome must be BREAK or a mine type")
-        for name in ("r_goal", "r_step", "r_tool", "r_bonus", "lambda_goal", "n_mines"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if self.n_mine_types < 1:
+            raise ValueError("need at least one mine type")
+        if self.n_mines < 0:
+            raise ValueError("n_mines must be nonnegative")
+        self.tool_map = make_tool_map(0, self.n_mine_types)
 
     @property
     def n_actions(self) -> int:
-        return 4 + self.n_tools
+        return 4 + self.n_mine_types
 
 
 def mining_action_table(config: MiningConfig) -> ActionTable:
@@ -91,7 +84,7 @@ def mining_action_table(config: MiningConfig) -> ActionTable:
 class MiningEnv(Env):
     def __init__(self, config: MiningConfig | None = None, seed: int = 0):
         self.config = config or MiningConfig()
-        super().__init__(seed, self.config.n_max, mining_action_table(self.config))
+        super().__init__(seed, HORIZON, mining_action_table(self.config))
         g = self.config.grid_size
         self.start = (1, 1)
         self.goal = (g - 2, g - 2)
@@ -173,15 +166,13 @@ class MiningEnv(Env):
             fx = self._pos[0] + _DELTAS[self._dir][0]
             fy = self._pos[1] + _DELTAS[self._dir][1]
             if self._cell(fx, fy) == mine_type:
-                reward += self.config.r_tool
+                reward += R_TOOL
                 if outcome == BREAK:
                     self._grid[fx, fy] = _EMPTY
-                    reward += self.config.r_bonus
+                    reward += R_BONUS
                 else:
                     self._grid[fx, fy] = outcome
-        reward += self.config.r_step * (dist_before - self._distance())
+        reward += R_STEP * (dist_before - self._distance())
         if reached:
-            reward += self.config.r_goal * (
-                1.0 - self.config.lambda_goal * self._t / self.config.n_max
-            )
+            reward += R_GOAL * (1.0 - LAMBDA_GOAL * self._t / HORIZON)
         return self._observe(), reward, reached, {"reached": reached}

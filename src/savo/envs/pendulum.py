@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Env
+from .base import Env, frozen_copy
 
 GRAVITY = 9.8
 CART_MASS = 1.0
@@ -23,19 +23,25 @@ FORCE_SCALE = 10.0
 DT = 0.02
 THETA_LIMIT = 12.0 * np.pi / 180.0
 
+N_SPHERES = 4
+SPHERE_RADIUS = 0.12
+RECOVERABLE = (0.1, 0.5)  # the command band that keeps the pole recoverable from upright
+MAX_TRIES = 10_000
+
 
 @dataclass
 class RestrictionSpec:
-    """Valid-action hyperspheres plus the command executed for invalid actions."""
+    """Valid-action hyperspheres plus the command executed for invalid actions,
+    kept as private read-only float64 copies."""
 
     centers: np.ndarray  # (M, D)
     radii: np.ndarray  # (M,)
     replacement: np.ndarray  # (D,)
 
     def __post_init__(self):
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
-        self.radii = np.atleast_1d(np.asarray(self.radii, dtype=np.float64))
-        self.replacement = np.atleast_1d(np.asarray(self.replacement, dtype=np.float64))
+        self.centers = frozen_copy(self.centers, ndmin=2)
+        self.radii = frozen_copy(self.radii, ndmin=1)
+        self.replacement = frozen_copy(self.replacement, ndmin=1)
         if self.centers.shape[0] != self.radii.shape[0]:
             raise ValueError("need one radius per sphere center")
         if self.centers.shape[0] and np.any(self.radii <= 0.0):
@@ -55,29 +61,22 @@ def check_valid(action: np.ndarray, restriction: RestrictionSpec) -> bool:
     return bool(np.any(d <= restriction.radii))
 
 
-def sample_restriction(
-    seed: int,
-    n_spheres: int = 4,
-    radius: float = 0.12,
-    recoverable: tuple[float, float] = (0.1, 0.5),
-    max_tries: int = 10_000,
-) -> RestrictionSpec:
-    """Seeded 1-D restriction: disjoint spheres, none covering the idle action 0,
-    at least one overlapping the moderate-positive-force band that keeps the
-    pole recoverable from upright."""
+def sample_restriction(seed: int) -> RestrictionSpec:
+    """Seeded 1-D restriction: N_SPHERES disjoint spheres of radius SPHERE_RADIUS, none
+    covering the idle action 0, at least one overlapping the RECOVERABLE band."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        centers = rng.uniform(-1.0 + radius, 1.0 - radius, size=n_spheres)
+    for _ in range(MAX_TRIES):
+        centers = rng.uniform(-1.0 + SPHERE_RADIUS, 1.0 - SPHERE_RADIUS, size=N_SPHERES)
         centers.sort()
-        if np.any(np.diff(centers) < 2.0 * radius):
+        if np.any(np.diff(centers) < 2.0 * SPHERE_RADIUS):
             continue  # overlapping spheres collapse into one peak
-        if np.any(np.abs(centers) <= radius):
+        if np.any(np.abs(centers) <= SPHERE_RADIUS):
             continue  # keep the idle action invalid so the landscape is non-trivial
-        lo, hi = recoverable
-        if not np.any((centers + radius >= lo) & (centers - radius <= hi)):
+        lo, hi = RECOVERABLE
+        if not np.any((centers + SPHERE_RADIUS >= lo) & (centers - SPHERE_RADIUS <= hi)):
             continue
         return RestrictionSpec(
-            centers=centers[:, None], radii=np.full(n_spheres, radius), replacement=np.array([-1.0])
+            centers=centers[:, None], radii=np.full(N_SPHERES, SPHERE_RADIUS), replacement=np.array([-1.0])
         )
     raise RuntimeError("could not sample a restriction satisfying the constraints")
 

@@ -10,13 +10,13 @@ import numpy as np
 from ..actions import ActionTable
 from .base import Env
 
+USER_STEP = 0.05  # share of the gap to a clicked item that the user moves
+
 
 @dataclass
 class RecsimConfig:
     n_items: int = 1000
     n_categories: int = 20
-    user_step: float = 0.05
-    skip_score: float = 0.0
     horizon: int = 20
     table_seed: int = 0
 
@@ -58,7 +58,7 @@ class RecsimEnv(Env):
 
     def _click_probability(self, rep: np.ndarray) -> float:
         e_score = np.exp(float(self._user @ rep))
-        return e_score / (e_score + np.exp(self.config.skip_score))
+        return e_score / (e_score + 1.0)  # the skip option scores 0, and exp(0) = 1
 
     def _step(self, item_id: int):
         e_item = self.action_table.reps[item_id]
@@ -67,7 +67,7 @@ class RecsimEnv(Env):
         reward = 1.0 if clicked else 0.0
         if clicked:
             affinity = float(self._user @ e_item)
-            delta = self.config.user_step * (e_item - self._user)
+            delta = USER_STEP * (e_item - self._user)
             toward = self._rng.random() < (affinity + 1.0) / 2.0
             self._user = self._user + delta if toward else self._user - delta
             norm = np.linalg.norm(self._user)

@@ -77,8 +77,13 @@ class Mlp:
     """Fully-connected stack with per-layer activation tags."""
 
     def __init__(self, layers: list[DenseLayer]):
+        if not layers:
+            raise ShapeError("a network needs at least one layer")
         if len({layer.weight.dtype for layer in layers}) > 1:
             raise ShapeError("all layers of a network must share one dtype")
+        for prev, layer in zip(layers, layers[1:]):
+            if layer.weight.shape[0] != prev.weight.shape[1]:
+                raise ShapeError(f"layer fan-in {layer.weight.shape[0]} != previous fan-out {prev.weight.shape[1]}")
         self.layers = layers
 
     @classmethod

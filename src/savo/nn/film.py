@@ -49,7 +49,7 @@ class FilmGenerator:
         gamma, beta, net_tape = self._modulation(cond, [])
         return gamma * features + beta, (features, gamma, net_tape)
 
-    def backward(self, tape, dout: np.ndarray, with_params: bool = True):
+    def backward(self, tape, dout: np.ndarray):
         """Returns (d_features, d_cond, grads), in the generator's dtype."""
         features, gamma, net_tape = tape
         dout = np.asarray(dout, dtype=self.net.dtype)
@@ -57,5 +57,5 @@ class FilmGenerator:
         draw = np.empty(dout.shape[:-1] + (2 * self.width,), dtype=self.net.dtype)
         np.multiply(dout, features, out=draw[..., : self.width])
         draw[..., self.width :] = dout
-        dcond, grads = self.net.backward(net_tape, draw, with_params=with_params)
+        dcond, grads = self.net.backward(net_tape, draw)
         return dfeat, dcond, grads

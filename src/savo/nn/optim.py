@@ -7,6 +7,9 @@ import numpy as np
 from .core import ShapeError
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba), which TD3 keeps too
+
+
 class NonFiniteGradientError(ValueError):
     """A gradient contained NaN or Inf; the update was rejected."""
 
@@ -20,15 +23,7 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(
-    arrays: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(arrays: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float) -> None:
     """One in-place Adam update with bias correction.
 
     Shapes, dtypes and gradients are validated before any state is touched:
@@ -52,19 +47,19 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError("non-finite gradient; update rejected")
     state.step += 1
-    c1 = 1.0 - beta1**state.step
-    c2 = 1.0 - beta2**state.step
+    c1 = 1.0 - BETA1**state.step
+    c2 = 1.0 - BETA2**state.step
     for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        buf = np.multiply(g, 1.0 - beta1)
-        m *= beta1
+        buf = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += buf
-        np.multiply(g, 1.0 - beta2, out=buf)
+        np.multiply(g, 1.0 - BETA2, out=buf)
         buf *= g
-        v *= beta2
+        v *= BETA2
         v += buf
         denom = np.divide(v, c2)
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += EPS
         np.divide(m, c1, out=buf)
         buf *= lr
         buf /= denom

@@ -179,6 +179,23 @@ def test_surrogate_values_floor_the_landscape():
     assert np.array_equal(levels[2], np.maximum(q, 1.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_surrogate_values_reject_non_finite_inputs(bad):
+    q = np.linspace(0.0, 1.0, 5)
+    for anchors in ([bad], [bad, 0.5], [0.5, bad]):
+        with pytest.raises(ValueError):
+            surrogate_values(q, anchors)
+        with pytest.raises(ValueError):
+            surrogate_optima_profile(q, anchors)
+    with pytest.raises(ValueError):
+        surrogate_values(np.where(q > 0.5, bad, q), [0.5])
+
+
+def test_surrogate_values_take_a_vector_of_anchors():
+    with pytest.raises(ValueError):  # each row would floor Q elementwise
+        surrogate_values(np.zeros(2), [[0.5, -1.0]])
+
+
 # ------------------------------------------------------------- suboptimality
 
 def test_gap_examples():

@@ -22,6 +22,7 @@ from savo.envs import (
     sample_restriction,
 )
 from savo.envs.mining import BREAK, DOWN, RIGHT
+from savo.envs.recsim import USER_STEP
 
 from loop_oracles import EagerLandscape
 
@@ -69,6 +70,22 @@ def test_canonical_restriction_matches_generator():
     generated = sample_restriction(seed=7)
     assert np.allclose(generated.centers, CANONICAL_RESTRICTION.centers, atol=1e-16)
     assert np.array_equal(generated.radii, CANONICAL_RESTRICTION.radii)
+
+
+def test_restriction_keeps_read_only_copies():
+    centers, radii, replacement = np.array([[0.5]]), np.array([0.1]), np.array([-1.0])
+    spec = RestrictionSpec(centers=centers, radii=radii, replacement=replacement)
+    for name in ("centers", "radii", "replacement"):
+        with pytest.raises(ValueError):
+            getattr(spec, name)[0] = np.nan
+        with pytest.raises(ValueError):
+            getattr(CANONICAL_RESTRICTION, name)[0] = np.nan
+    centers[0, 0], radii[0], replacement[0] = 0.0, 2.0, np.nan
+    assert spec.centers.tolist() == [[0.5]] and spec.radii.tolist() == [0.1] and spec.replacement.tolist() == [-1.0]
+    for restriction in (spec, CANONICAL_RESTRICTION):
+        env = CartPoleEnv(restriction=restriction, seed=0)
+        env.reset(seed=0)
+        assert env.step(np.array([0.0]))[3]["executed"].tolist() == [-1.0]
 
 
 # ----------------------------------------------------------------- cartpole
@@ -280,9 +297,21 @@ def test_mining_action_table_shape_and_bounds():
 
 
 def test_mining_action_table_single_mine_type():
-    table = mining_action_table(MiningConfig(n_mine_types=1, n_tools=1))
+    table = mining_action_table(MiningConfig(n_mine_types=1))
     assert len(table) == 5
     assert np.array_equal(table.reps[4], [1.0, 0.0, 0.0, 1.0])
+
+
+def test_mining_config_derives_one_tool_per_mine_type():
+    config = MiningConfig(n_mine_types=10)
+    assert config.n_actions == 14
+    assert config.tool_map == make_tool_map(0, 10)
+    assert len(mining_action_table(config)) == 14
+    env = MiningEnv(config, seed=0)
+    env.reset(seed=0)
+    env.step(13)
+    with pytest.raises(ValueError, match="at least one mine type"):  # before make_tool_map's own draw fails
+        MiningConfig(n_mine_types=0)
 
 
 # ------------------------------------------------------------------- recsim
@@ -326,7 +355,7 @@ def test_recsim_update_direction_frequency_matches_rule():
         _, r, _, info = env.step(item)
         if info["clicked"]:
             clicks += 1
-            delta = env.config.user_step * (env.action_table.reps[item] - base_user)
+            delta = USER_STEP * (env.action_table.reps[item] - base_user)
             if np.allclose(env._user, base_user + delta) or np.linalg.norm(env._user) <= 1.0 and np.dot(env._user - base_user, delta) > 0:
                 toward += 1
     sigma = np.sqrt(p_toward * (1 - p_toward) / clicks)
@@ -561,6 +590,21 @@ def test_bandit_landscape_rejects_bad_parameters(change):
         BanditLandscape(**{**params, **change})
 
 
+def test_bandit_landscape_keeps_read_only_copies():
+    heights = np.array([0.6, 1.0])
+    landscape = BanditLandscape(
+        low=[-1.0], high=[1.0], centers=[[-0.3], [0.65]], heights=heights, widths=[0.45, 0.15]
+    )
+    argmax, max_value = landscape.argmax.copy(), landscape.max_value
+    for name in ("low", "high", "centers", "heights", "widths", "argmax"):
+        with pytest.raises(ValueError):
+            getattr(landscape, name)[0] = 0.0
+    heights[1] = 0.0
+    assert landscape.heights.tolist() == [0.6, 1.0]
+    assert np.array_equal(landscape.argmax, argmax) and landscape.max_value == max_value
+    assert landscape.value_at(argmax) == max_value == canonical_adversarial().max_value
+
+
 def test_bandit_env_clamps_and_terminates():
     env = BanditEnv(seed=0)
     env.reset(seed=0)
@@ -772,16 +816,16 @@ def test_a_failed_reset_starts_no_episode():
         lambda: CartPoleEnv(horizon=-1),
         lambda: CartPoleEnv(horizon=2.5),
         lambda: RecsimEnv(RecsimConfig(n_items=5, n_categories=2, horizon=0)),
-        lambda: small_mining(n_max=0),
         lambda: MiningConfig(grid_size=3),  # the goal would be the start cell
         lambda: MiningConfig(grid_size=2),  # the goal would be a wall
         lambda: RecsimConfig(n_categories=0),
         lambda: MiningConfig(n_mines=-1),
+        lambda: MiningConfig(n_mine_types=0),
         lambda: CartPoleEnv(restriction=RestrictionSpec(centers=[[0.5, -3.0]], radii=[0.2], replacement=[-1.0, 7.0])),
     ],
     ids=["cartpole-horizon-0", "cartpole-horizon-negative", "cartpole-horizon-float", "recsim-horizon-0",
-         "mining-n_max-0", "mining-grid-3", "mining-grid-2", "recsim-no-categories", "mining-n_mines-negative",
-         "cartpole-restriction-2d"],
+         "mining-grid-3", "mining-grid-2", "recsim-no-categories", "mining-n_mines-negative",
+         "mining-no-mine-types", "cartpole-restriction-2d"],
 )
 def test_degenerate_episode_shapes_are_rejected_at_construction(make):
     with pytest.raises(ValueError):

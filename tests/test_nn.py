@@ -105,6 +105,16 @@ def test_mlp_rejects_layers_of_mixed_dtype():
         Mlp([net.layers[0], as_dtype(net, np.float64).layers[1]])
 
 
+def test_mlp_rejects_an_empty_or_unchained_layer_list():
+    with pytest.raises(ShapeError):
+        Mlp.create([5], [], np.random.default_rng(0))
+    with pytest.raises(ShapeError):
+        Mlp([])
+    with pytest.raises(ShapeError):
+        Mlp([DenseLayer(np.zeros((3, 4)), np.zeros(4), "relu"), DenseLayer(np.zeros((5, 2)), np.zeros(2), "linear")])
+    Mlp([DenseLayer(np.zeros((3, 4)), np.zeros(4), "relu"), DenseLayer(np.zeros((4, 2)), np.zeros(2), "linear")])
+
+
 # --------------------------------------------------------------- backward
 
 def test_linear_layer_weight_grad_is_input_row():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -35,3 +37,21 @@ def test_numpy_is_the_only_runtime_dependency():
     loaded = out.stdout.split()
     assert "savo" in loaded
     assert [m for m in loaded if m not in {"numpy", "savo"} and m not in sys.stdlib_module_names] == []
+
+
+def test_settable_values_stay_pinned():
+    """The env configs and these functions take only the values their callers
+    set; the rest are module constants. Adding a knob back means editing this."""
+
+    def init_fields(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert init_fields(savo.envs.MiningConfig) == ["grid_size", "n_mine_types", "n_mines"]
+    assert init_fields(savo.envs.RecsimConfig) == ["n_items", "n_categories", "horizon", "table_seed"]
+    assert params(savo.envs.sample_restriction) == ["seed"]
+    assert params(savo.envs.make_tool_map) == ["seed", "n_types"]
+    assert params(savo.nn.adam_step) == ["arrays", "grads", "state", "lr"]
+    assert params(savo.nn.FilmGenerator.backward) == ["self", "tape", "dout"]
