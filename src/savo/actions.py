@@ -38,6 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checks import checked_int, frozen_copy
+
 
 class ActionTableError(ValueError):
     pass
@@ -64,11 +66,10 @@ def _build_index(reps: np.ndarray) -> _Index:
 def checked_id(action_id, n: int) -> int:
     """A discrete action as an int in [0, n). Only Python and numpy integers
     are ids: a float or a bool raises ``ValueError`` instead of truncating."""
-    if isinstance(action_id, bool) or not isinstance(action_id, (int, np.integer)):
-        raise ValueError(f"action id must be an integer, got {action_id!r}")
+    action_id = checked_int(action_id, "action id")
     if not 0 <= action_id < n:
         raise ValueError(f"action id {action_id} out of range")
-    return int(action_id)
+    return action_id
 
 
 @dataclass
@@ -78,7 +79,7 @@ class ActionTable:
     reps: np.ndarray  # (N, D)
 
     def __post_init__(self):
-        self.reps = np.array(self.reps, dtype=np.float64)  # a private copy, frozen below
+        self.reps = frozen_copy(self.reps)
         if self.reps.ndim != 2 or self.reps.shape[0] < 1:
             raise ActionTableError("representation matrix must be (N >= 1, D)")
         if not np.all(np.isfinite(self.reps)):
@@ -86,7 +87,6 @@ class ActionTable:
         uniq = np.unique(self.reps, axis=0)
         if uniq.shape[0] != self.reps.shape[0]:
             raise ActionTableError("duplicate representation rows make nearest() ambiguous")
-        self.reps.setflags(write=False)
         self._index = _build_index(self.reps)
 
     def __len__(self) -> int:
@@ -189,11 +189,10 @@ def nearest(a: np.ndarray, table: ActionTable) -> int:
 
 def knn(a: np.ndarray, table: ActionTable, k: int) -> list[int]:
     """k distinct ids sorted by ascending distance, then by index."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ActionTableError(f"k must be an integer, got {k!r}")
+    k = checked_int(k, "k", ActionTableError)
     if not 1 <= k <= len(table):
         raise ActionTableError(f"k must be in [1, {len(table)}], got {k}")
-    return _rank_rows(_checked_queries(a, table, batch=False), table, int(k))[0].tolist()
+    return _rank_rows(_checked_queries(a, table, batch=False), table, k)[0].tolist()
 
 
 def nearest_rows(queries: np.ndarray, table: ActionTable) -> np.ndarray:

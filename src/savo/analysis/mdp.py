@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..checks import checked_int, frozen_copy
+
 
 class ConvergenceError(RuntimeError):
     pass
@@ -15,13 +17,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class TabularMDP:
+    """A finite MDP, checked once here. ``transition`` and ``reward`` are kept
+    as private read-only float64 copies, so later writes to the caller's
+    arrays cannot reach the solvers."""
+
     transition: np.ndarray  # (S, A, S), each row a distribution
     reward: np.ndarray  # (S, A)
     gamma: float
 
     def __post_init__(self):
-        self.transition = np.asarray(self.transition, dtype=np.float64)
-        self.reward = np.asarray(self.reward, dtype=np.float64)
+        self.transition = frozen_copy(self.transition)
+        self.reward = frozen_copy(self.reward)
         s, a, s2 = self.transition.shape
         if s != s2 or self.reward.shape != (s, a):
             raise ValueError("transition must be (S, A, S) with matching rewards")
@@ -120,7 +126,7 @@ def maximizer_policy_iteration(
     the per-iteration value history. Raises ``ValueError`` before any work
     unless ``k_proposals`` is a non-negative integer (``bool`` excluded).
     """
-    if isinstance(k_proposals, bool) or not isinstance(k_proposals, (int, np.integer)) or k_proposals < 0:
+    if checked_int(k_proposals, "k_proposals") < 0:
         raise ValueError(f"k_proposals must be a non-negative integer, got {k_proposals!r}")
     rng = np.random.default_rng(seed)
     n_s, n_a = mdp.n_states, mdp.n_actions

@@ -1,6 +1,6 @@
 from .base import Env, EpisodeDoneError
 from .bandit import BanditEnv, BanditLandscape, canonical_adversarial, random_landscape
-from .mining import MiningConfig, MiningEnv, make_tool_map, mining_action_table
+from .mining import MiningEnv, make_tool_map, mining_action_table
 from .pendulum import (
     CANONICAL_RESTRICTION,
     CartPoleEnv,
@@ -8,20 +8,17 @@ from .pendulum import (
     check_valid,
     sample_restriction,
 )
-from .recsim import RecsimConfig, RecsimEnv, recsim_action_table
+from .recsim import RecsimEnv, recsim_action_table
+
+
+_ENVS = {"bandit": BanditEnv, "pendulum": CartPoleEnv, "mining": MiningEnv, "recsim": RecsimEnv}
 
 
 def make_env(env_id: str, seed: int = 0, **params) -> Env:
-    """Build an environment from its id plus typed keyword parameters."""
-    if env_id == "pendulum":
-        return CartPoleEnv(seed=seed, **params)
-    if env_id == "mining":
-        return MiningEnv(config=MiningConfig(**params), seed=seed)
-    if env_id == "recsim":
-        return RecsimEnv(config=RecsimConfig(**params), seed=seed)
-    if env_id == "bandit":
-        return BanditEnv(seed=seed, **params)
-    raise ValueError(f"unknown env id {env_id!r}")
+    """Build an environment from its id plus its class's keyword parameters."""
+    if env_id not in _ENVS:
+        raise ValueError(f"unknown env id {env_id!r}")
+    return _ENVS[env_id](seed=seed, **params)
 
 
 __all__ = [
@@ -31,9 +28,7 @@ __all__ = [
     "CartPoleEnv",
     "Env",
     "EpisodeDoneError",
-    "MiningConfig",
     "MiningEnv",
-    "RecsimConfig",
     "RecsimEnv",
     "RestrictionSpec",
     "canonical_adversarial",

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import Env, frozen_copy
+from ..checks import frozen_copy
+from .base import Env
 
 # Points per axis of the grid that `BanditLandscape` scans for its argmax.
 _SCAN_POINTS_1D = 10_001
@@ -231,11 +232,9 @@ def canonical_adversarial() -> BanditLandscape:
 
 
 class BanditEnv(Env):
-    observation_dim = 1
-
     def __init__(self, landscape: BanditLandscape | None = None, seed: int = 0):
         self.landscape = landscape or canonical_adversarial()
-        super().__init__(seed, 1, (self.landscape.low, self.landscape.high))
+        super().__init__(seed, 1, (self.landscape.low, self.landscape.high), 1)
 
     def _reset(self) -> np.ndarray:
         return np.zeros(1)

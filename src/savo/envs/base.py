@@ -7,13 +7,7 @@ import math
 import numpy as np
 
 from ..actions import ActionTable, checked_id
-
-
-def frozen_copy(values, ndmin: int = 0) -> np.ndarray:
-    """A private read-only float64 copy of ``values`` with at least ``ndmin`` axes."""
-    out = np.array(values, dtype=np.float64, ndmin=ndmin)
-    out.setflags(write=False)
-    return out
+from ..checks import checked_int, frozen_copy
 
 
 class EpisodeDoneError(RuntimeError):
@@ -30,19 +24,18 @@ class Env:
     and ``_step(action) -> (obs, reward, terminal, info)``, which gets a
     checked action after ``_t`` has counted the step.
 
-    ``__init__`` takes the action space: a discrete env's ``ActionTable``,
-    whose integer ids ``step`` takes (``checked_id``), or a continuous env's
-    ``(low, high)`` box, kept as read-only copies; ``step`` takes finite
-    vectors of shape ``(action_dim,)`` and clips them to it. Any other action
-    raises ``ValueError`` before any state changes. ``done`` is ``terminal or
+    ``__init__`` takes the length of every observation, ``observation_dim``,
+    and the action space: a discrete env's ``ActionTable``, whose integer ids
+    ``step`` takes (``checked_id``), or a continuous env's ``(low, high)``
+    box, kept as read-only copies; ``step`` takes finite vectors of shape
+    ``(action_dim,)`` and clips them to it. Any other action raises
+    ``ValueError`` before any state changes. ``done`` is ``terminal or
     _t >= horizon``; a step after it, or before a ``reset`` has returned,
     raises ``EpisodeDoneError``.
     """
 
-    observation_dim: int
-
-    def __init__(self, seed: int, horizon: int, actions: ActionTable | tuple):
-        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+    def __init__(self, seed: int, horizon: int, actions: ActionTable | tuple, observation_dim: int):
+        if checked_int(horizon, "horizon") < 1:
             raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
         if isinstance(actions, ActionTable):
             self.action_table, self.action_dim = actions, actions.dim
@@ -54,6 +47,7 @@ class Env:
             self.action_table, self.action_dim = None, len(low)
             self._low, self._high = low, high
         self.horizon = int(horizon)
+        self.observation_dim = checked_int(observation_dim, "observation_dim")
         self._rng = np.random.default_rng(seed)
         self._t = 0
         self._done = True  # no episode runs until the first reset

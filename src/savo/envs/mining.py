@@ -8,11 +8,10 @@ either breaks it or transmutes it into a type whose own tool breaks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..actions import ActionTable
+from ..checks import checked_int
 from .base import Env
 
 RIGHT, DOWN, LEFT, UP = 0, 1, 2, 3
@@ -47,14 +46,27 @@ def make_tool_map(seed: int, n_types: int) -> list[tuple[int, int]]:
     return mapping
 
 
-@dataclass
-class MiningConfig:
-    grid_size: int = 10
-    n_mine_types: int = 50
-    n_mines: int = 8
-    tool_map: list[tuple[int, int]] = field(init=False)  # make_tool_map(0, n_mine_types): one tool per type
+def mining_action_table(tool_map: list[tuple[int, int]]) -> ActionTable:
+    """4-D representations in [0, 1]: skill kind, move direction, applicable
+    mine type, application outcome; one tool row per entry of ``tool_map``."""
+    k = len(tool_map)
+    rows = []
+    for d in range(4):
+        rows.append([0.0, d / 3.0, 0.0, 0.0])
+    for mine_type, outcome in tool_map:
+        out = 1.0 if outcome == BREAK else outcome / k
+        rows.append([1.0, 0.0, mine_type / max(k - 1, 1), out])
+    return ActionTable(reps=np.asarray(rows))
 
-    def __post_init__(self):
+
+class MiningEnv(Env):
+    """``n_mines`` mines of ``n_mine_types`` types on a walled ``grid_size``
+    square; tool t is ``make_tool_map(0, n_mine_types)[t]``."""
+
+    def __init__(self, grid_size: int = 10, n_mine_types: int = 50, n_mines: int = 8, seed: int = 0):
+        self.grid_size = checked_int(grid_size, "grid_size")
+        self.n_mine_types = checked_int(n_mine_types, "n_mine_types")
+        self.n_mines = checked_int(n_mines, "n_mines")
         if self.grid_size < 4:
             raise ValueError("grid_size must be at least 4: the start and the goal are distinct inner cells")
         if self.n_mine_types < 1:
@@ -62,33 +74,10 @@ class MiningConfig:
         if self.n_mines < 0:
             raise ValueError("n_mines must be nonnegative")
         self.tool_map = make_tool_map(0, self.n_mine_types)
-
-    @property
-    def n_actions(self) -> int:
-        return 4 + self.n_mine_types
-
-
-def mining_action_table(config: MiningConfig) -> ActionTable:
-    """4-D representations in [0, 1]: skill kind, move direction, applicable
-    mine type, application outcome."""
-    k = config.n_mine_types
-    rows = []
-    for d in range(4):
-        rows.append([0.0, d / 3.0, 0.0, 0.0])
-    for _, (mine_type, outcome) in enumerate(config.tool_map):
-        out = 1.0 if outcome == BREAK else outcome / k
-        rows.append([1.0, 0.0, mine_type / max(k - 1, 1), out])
-    return ActionTable(reps=np.asarray(rows))
-
-
-class MiningEnv(Env):
-    def __init__(self, config: MiningConfig | None = None, seed: int = 0):
-        self.config = config or MiningConfig()
-        super().__init__(seed, HORIZON, mining_action_table(self.config))
-        g = self.config.grid_size
+        super().__init__(seed, HORIZON, mining_action_table(self.tool_map), 8 + self.n_mine_types)
+        g = self.grid_size
         self.start = (1, 1)
         self.goal = (g - 2, g - 2)
-        self.observation_dim = 8 + self.config.n_mine_types
         self._grid = np.full((g, g), _EMPTY, dtype=np.int64)
         self._pos = self.start
         self._dir = RIGHT
@@ -96,7 +85,7 @@ class MiningEnv(Env):
     # --- layout -----------------------------------------------------------
 
     def _new_layout(self):
-        g = self.config.grid_size
+        g = self.grid_size
         grid = np.full((g, g), _EMPTY, dtype=np.int64)
         grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = _WALL
         free = [
@@ -105,10 +94,10 @@ class MiningEnv(Env):
             for y in range(1, g - 1)
             if (x, y) not in (self.start, self.goal)
         ]
-        picks = self._rng.choice(len(free), size=min(self.config.n_mines, len(free)), replace=False)
+        picks = self._rng.choice(len(free), size=min(self.n_mines, len(free)), replace=False)
         for idx in picks:
             x, y = free[int(idx)]
-            grid[x, y] = int(self._rng.integers(0, self.config.n_mine_types))
+            grid[x, y] = int(self._rng.integers(0, self.n_mine_types))
         return grid
 
     def _reset(self) -> np.ndarray:
@@ -123,8 +112,8 @@ class MiningEnv(Env):
         return int(self._grid[x, y])
 
     def _observe(self) -> np.ndarray:
-        k = self.config.n_mine_types
-        g = self.config.grid_size
+        k = self.n_mine_types
+        g = self.grid_size
         obs = np.zeros(8 + k)
         x, y = self._pos
         obs[0] = x / (g - 1)
@@ -162,7 +151,7 @@ class MiningEnv(Env):
                 reached = self._pos == self.goal
         else:
             tool = action_id - 4
-            mine_type, outcome = self.config.tool_map[tool]
+            mine_type, outcome = self.tool_map[tool]
             fx = self._pos[0] + _DELTAS[self._dir][0]
             fy = self._pos[1] + _DELTAS[self._dir][1]
             if self._cell(fx, fy) == mine_type:

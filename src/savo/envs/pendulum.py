@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Env, frozen_copy
+from ..checks import frozen_copy
+from .base import Env
 
 GRAVITY = 9.8
 CART_MASS = 1.0
@@ -99,12 +100,10 @@ CANONICAL_RESTRICTION = RestrictionSpec(
 class CartPoleEnv(Env):
     """Semi-implicit Euler cart-pole; +1 reward per step while the pole is upright."""
 
-    observation_dim = 4
-
     _obs_scale = np.array([2.4, 3.0, THETA_LIMIT, 3.0])
 
     def __init__(self, restriction: RestrictionSpec | None = None, horizon: int = 500, seed: int = 0):
-        super().__init__(seed, horizon, ([-1.0], [1.0]))
+        super().__init__(seed, horizon, ([-1.0], [1.0]), 4)
         if restriction is not None and restriction.centers.shape[1] != self.action_dim:
             raise ValueError(f"a cart-pole restriction must be 1-D, got centers of shape {restriction.centers.shape}")
         self.restriction = restriction

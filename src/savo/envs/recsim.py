@@ -3,48 +3,38 @@ over the user-item dot product, and preferences drift toward clicked items."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..actions import ActionTable
+from ..checks import checked_int
 from .base import Env
 
 USER_STEP = 0.05  # share of the gap to a clicked item that the user moves
 
 
-@dataclass
-class RecsimConfig:
-    n_items: int = 1000
-    n_categories: int = 20
-    horizon: int = 20
-    table_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_items < 1:
-            raise ValueError("need at least one item")
-        if self.n_categories < 1:
-            raise ValueError("need at least one category")
-
-
-def recsim_action_table(config: RecsimConfig) -> ActionTable:
+def recsim_action_table(n_items: int, n_categories: int, table_seed: int) -> ActionTable:
     """Item embeddings drawn from a Gaussian mixture with one component per
     category (centres uniform in [-1, 1]^C, standard deviation 0.3; the
     component is the item's category), normalized onto the unit sphere so
-    all user-item dot products are bounded by 1."""
-    rng = np.random.default_rng(config.table_seed)
-    c = config.n_categories
+    all user-item dot products are bounded by 1. Raises ``ValueError``
+    unless all three are integers, with at least one item and one category."""
+    if checked_int(n_items, "n_items") < 1:
+        raise ValueError("need at least one item")
+    if checked_int(n_categories, "n_categories") < 1:
+        raise ValueError("need at least one category")
+    rng = np.random.default_rng(checked_int(table_seed, "table_seed"))
+    c = n_categories
     centers = rng.uniform(-1.0, 1.0, size=(c, c))
-    category = rng.integers(0, c, size=config.n_items)
-    reps = centers[category] + 0.3 * rng.standard_normal((config.n_items, c))
+    category = rng.integers(0, c, size=n_items)
+    reps = centers[category] + 0.3 * rng.standard_normal((n_items, c))
     return ActionTable(reps=reps / np.linalg.norm(reps, axis=1, keepdims=True))
 
 
 class RecsimEnv(Env):
-    def __init__(self, config: RecsimConfig | None = None, seed: int = 0):
-        self.config = config or RecsimConfig()
-        super().__init__(seed, self.config.horizon, recsim_action_table(self.config))
-        self.observation_dim = self.config.n_categories
+    def __init__(
+        self, n_items: int = 1000, n_categories: int = 20, horizon: int = 20, table_seed: int = 0, seed: int = 0
+    ):
+        super().__init__(seed, horizon, recsim_action_table(n_items, n_categories, table_seed), n_categories)
         self._user = np.zeros(self.observation_dim)
 
     def _reset(self) -> np.ndarray:

@@ -21,7 +21,8 @@ def save_arrays(path, arrays: list[np.ndarray], adam: AdamState | None = None) -
         for i, (m, v) in enumerate(zip(adam.m, adam.v)):
             payload[f"m{i}"] = m
             payload[f"v{i}"] = v
-    np.savez(path, **payload)
+    with open(path, "wb") as f:  # np.savez would append ".npz" to a path without it
+        np.savez(f, **payload)
 
 
 def load_arrays(path, arrays: list[np.ndarray], adam: AdamState | None = None) -> None:

@@ -42,10 +42,16 @@ class FilmGenerator:
         return self._modulation(cond, None)[:2]
 
     def modulate_tape(self, features: np.ndarray, cond: np.ndarray):
-        """``gamma * features + beta`` with (gamma, beta) generated from ``cond``."""
+        """``gamma * features + beta`` with (gamma, beta) generated from ``cond``.
+
+        Raises ``ShapeError`` before any pass unless ``features`` is
+        ``(..., width)`` with the batch shape of ``cond``: a broadcast would
+        give ``backward`` a ``d_features`` of the wrong shape."""
         features = np.asarray(features, dtype=self.net.dtype)
         if features.shape[-1] != self.width:
             raise ShapeError(f"features have width {features.shape[-1]}, generator modulates {self.width}")
+        if features.shape[:-1] != np.shape(cond)[:-1]:
+            raise ShapeError(f"features batch {features.shape[:-1]} != conditioning batch {np.shape(cond)[:-1]}")
         gamma, beta, net_tape = self._modulation(cond, [])
         return gamma * features + beta, (features, gamma, net_tape)
 

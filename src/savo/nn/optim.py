@@ -26,15 +26,18 @@ class AdamState:
 def adam_step(arrays: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float) -> None:
     """One in-place Adam update with bias correction.
 
-    Shapes, dtypes and gradients are validated before any state is touched:
+    ``lr``, shapes, dtypes and gradients are validated before any state is
+    touched: an ``lr`` that is not finite and >= 0 raises ``ValueError``,
     a gradient or moment whose shape or dtype differs from its parameter's
     raises ``ShapeError`` (in-place updates would round it silently), and a
-    non-finite gradient raises ``NonFiniteGradientError``; either leaves
+    non-finite gradient raises ``NonFiniteGradientError``; each leaves
     parameters, moments and the step counter unchanged. Each parameter array
     is updated through two scratch arrays, with the operations of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``a -= (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in that order.
     """
+    if not 0.0 <= lr < np.inf:
+        raise ValueError(f"lr must be finite and non-negative, got {lr}")
     if not len(arrays) == len(grads) == len(state.m) == len(state.v):
         raise ShapeError("parameter/gradient/state lengths disagree")
     for a, g, m, v in zip(arrays, grads, state.m, state.v):

@@ -10,7 +10,7 @@ from savo.actions import (
     nearest,
     nearest_rows,
 )
-from savo.envs import RecsimConfig, recsim_action_table
+from savo.envs import recsim_action_table
 
 
 def scan(q, reps):
@@ -215,7 +215,7 @@ def test_single_row_table():
 
 
 def test_exact_on_recsim_table_at_workload_shape():
-    t = recsim_action_table(RecsimConfig())
+    t = recsim_action_table(1000, 20, 0)
     rng = np.random.default_rng(13)
     queries = np.clip(rng.standard_normal((256, t.dim)), -1.0, 1.0)
     assert_matches_scan(t, queries, k=10)
@@ -277,12 +277,11 @@ def test_empty_table_rejected():
 def test_recsim_table_is_the_normalised_gmm_draw():
     """The table equals the draw of the general mixture sampler it replaced:
     centres, categories and noise from one generator in that order."""
-    for config in (RecsimConfig(), RecsimConfig(n_items=25, n_categories=4, table_seed=3)):
-        rng = np.random.default_rng(config.table_seed)
-        c = config.n_categories
+    for n_items, c, table_seed in ((1000, 20, 0), (25, 4, 3)):
+        rng = np.random.default_rng(table_seed)
         centers = rng.uniform(-1.0, 1.0, size=(c, c))
-        category = rng.integers(0, c, size=config.n_items)
-        raw = centers[category] + 0.3 * rng.standard_normal((config.n_items, c))
-        t = recsim_action_table(config)
+        category = rng.integers(0, c, size=n_items)
+        raw = centers[category] + 0.3 * rng.standard_normal((n_items, c))
+        t = recsim_action_table(n_items, c, table_seed)
         assert np.array_equal(t.reps, raw / np.linalg.norm(raw, axis=1, keepdims=True))
-        assert np.array_equal(recsim_action_table(config).reps, t.reps)
+        assert np.array_equal(recsim_action_table(n_items, c, table_seed).reps, t.reps)

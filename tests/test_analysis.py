@@ -284,6 +284,20 @@ def test_tabular_mdp_rejects_negative_transition_entries():
         TabularMDP(transition=transition, reward=np.zeros((3, 2)), gamma=0.9)
 
 
+def test_tabular_mdp_keeps_read_only_copies():
+    source = random_mdp(np.random.default_rng(8), n_states=5, n_actions=4, gamma=0.9)
+    transition, reward = source.transition.copy(), source.reward.copy()
+    mdp = TabularMDP(transition=transition, reward=reward, gamma=0.9)
+    v = value_iteration(mdp)
+    assert not np.shares_memory(mdp.transition, transition) and not np.shares_memory(mdp.reward, reward)
+    reward[0, 0] = np.nan
+    transition[0, 0] = 0.0
+    assert np.array_equal(value_iteration(mdp), v)
+    for name in ("transition", "reward"):
+        with pytest.raises(ValueError):
+            getattr(mdp, name)[0, 0] = 0.5
+
+
 def test_policy_evaluation_matches_iterative():
     rng = np.random.default_rng(5)
     mdp = random_mdp(rng, n_states=8, n_actions=3, gamma=0.85)
@@ -334,9 +348,10 @@ def _tie_heavy_mdp(rng, n_states, n_actions):
     """Every odd action copies action 0's rewards and transitions, so many
     candidates tie exactly and the first-max and incumbent rules decide."""
     mdp = random_mdp(rng, n_states=n_states, n_actions=n_actions)
-    mdp.reward[:, 1::2] = mdp.reward[:, :1]
-    mdp.transition[:, 1::2] = mdp.transition[:, :1]
-    return mdp
+    reward, transition = mdp.reward.copy(), mdp.transition.copy()
+    reward[:, 1::2] = reward[:, :1]
+    transition[:, 1::2] = transition[:, :1]
+    return TabularMDP(transition=transition, reward=reward, gamma=mdp.gamma)
 
 
 @pytest.mark.parametrize("full_coverage", [False, True], ids=["proposals", "full"])

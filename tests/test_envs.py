@@ -8,9 +8,7 @@ from savo.envs import (
     CartPoleEnv,
     Env,
     EpisodeDoneError,
-    MiningConfig,
     MiningEnv,
-    RecsimConfig,
     RecsimEnv,
     RestrictionSpec,
     canonical_adversarial,
@@ -172,8 +170,7 @@ def test_cartpole_terminates_on_angle_and_horizon():
 # ------------------------------------------------------------------- mining
 
 def small_mining(seed=0, **overrides):
-    cfg = MiningConfig(**overrides) if overrides else MiningConfig()
-    return MiningEnv(config=cfg, seed=seed)
+    return MiningEnv(seed=seed, **overrides)
 
 
 def test_mining_goal_reward_at_step_50():
@@ -205,7 +202,7 @@ def test_mining_wrong_tool_is_inert():
     env._pos = (1, 1)
     env._dir = RIGHT
     env._grid[2, 1] = 5
-    wrong = next(t for t, (m, _) in enumerate(env.config.tool_map) if m != 5)
+    wrong = next(t for t, (m, _) in enumerate(env.tool_map) if m != 5)
     _, reward, _, _ = env.step(4 + wrong)
     assert reward == 0.0
     assert env._grid[2, 1] == 5
@@ -216,16 +213,16 @@ def test_mining_correct_tool_breaks_or_transforms():
     env.reset(seed=3)
     env._pos = (1, 1)
     env._dir = RIGHT
-    breaker = next(t for t, (m, o) in enumerate(env.config.tool_map) if o == BREAK)
-    mine_type = env.config.tool_map[breaker][0]
+    breaker = next(t for t, (m, o) in enumerate(env.tool_map) if o == BREAK)
+    mine_type = env.tool_map[breaker][0]
     env._grid[2, 1] = mine_type
     _, reward, _, _ = env.step(4 + breaker)
     assert reward == pytest.approx(0.1 + 0.1)  # tool + bonus
     assert env._grid[2, 1] == -1
 
-    transformer = next((t for t, (m, o) in enumerate(env.config.tool_map) if o != BREAK), None)
+    transformer = next((t for t, (m, o) in enumerate(env.tool_map) if o != BREAK), None)
     if transformer is not None:
-        mine_type, target = env.config.tool_map[transformer]
+        mine_type, target = env.tool_map[transformer]
         env._grid[2, 1] = mine_type
         _, reward, _, _ = env.step(4 + transformer)
         assert reward == pytest.approx(0.1)
@@ -247,10 +244,10 @@ def test_mining_observation_in_unit_interval():
     env = small_mining()
     rng = np.random.default_rng(8)
     obs = env.reset(seed=8)
-    assert obs.shape == (8 + env.config.n_mine_types,)
+    assert obs.shape == (8 + env.n_mine_types,)
     for _ in range(300):
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
-        obs, _, done, _ = env.step(int(rng.integers(0, env.config.n_actions)))
+        obs, _, done, _ = env.step(int(rng.integers(0, len(env.action_table))))
         if done:
             obs = env.reset()
 
@@ -276,7 +273,7 @@ def test_mining_invalid_action_raises():
     env = small_mining()
     env.reset(seed=0)
     with pytest.raises(ValueError):
-        env.step(env.config.n_actions)
+        env.step(len(env.action_table))
 
 
 def test_tool_map_is_function_with_terminating_chains():
@@ -289,7 +286,7 @@ def test_tool_map_is_function_with_terminating_chains():
 
 
 def test_mining_action_table_shape_and_bounds():
-    table = mining_action_table(MiningConfig())
+    table = mining_action_table(make_tool_map(0, 50))
     assert len(table) == 54
     assert table.dim == 4
     assert np.all(table.reps >= 0.0) and np.all(table.reps <= 1.0)
@@ -297,41 +294,40 @@ def test_mining_action_table_shape_and_bounds():
 
 
 def test_mining_action_table_single_mine_type():
-    table = mining_action_table(MiningConfig(n_mine_types=1))
+    table = mining_action_table(make_tool_map(0, 1))
     assert len(table) == 5
     assert np.array_equal(table.reps[4], [1.0, 0.0, 0.0, 1.0])
 
 
-def test_mining_config_derives_one_tool_per_mine_type():
-    config = MiningConfig(n_mine_types=10)
-    assert config.n_actions == 14
-    assert config.tool_map == make_tool_map(0, 10)
-    assert len(mining_action_table(config)) == 14
-    env = MiningEnv(config, seed=0)
-    env.reset(seed=0)
+def test_mining_derives_one_tool_per_mine_type():
+    env = MiningEnv(n_mine_types=10, seed=0)
+    assert len(env.action_table) == 14 and env.observation_dim == 18
+    assert env.tool_map == make_tool_map(0, 10)
+    assert np.array_equal(env.action_table.reps, mining_action_table(make_tool_map(0, 10)).reps)
+    assert env.reset(seed=0).shape == (18,)
     env.step(13)
     with pytest.raises(ValueError, match="at least one mine type"):  # before make_tool_map's own draw fails
-        MiningConfig(n_mine_types=0)
+        MiningEnv(n_mine_types=0)
 
 
 # ------------------------------------------------------------------- recsim
 
 def test_recsim_equal_scores_give_half_click_probability():
-    env = RecsimEnv(RecsimConfig(n_items=20, n_categories=4), seed=0)
+    env = RecsimEnv(n_items=20, n_categories=4, seed=0)
     env.reset(seed=0)
     env._user = np.zeros(4)  # every score is 0 = skip score
     assert env.click_probability(3) == pytest.approx(0.5)
 
 
 def test_recsim_unit_score_click_probability():
-    env = RecsimEnv(RecsimConfig(n_items=20, n_categories=4), seed=0)
+    env = RecsimEnv(n_items=20, n_categories=4, seed=0)
     env.reset(seed=0)
     env._user = env.action_table.reps[7].copy()  # score exactly 1
     assert env.click_probability(7) == pytest.approx(np.e / (1.0 + np.e))
 
 
 def test_recsim_full_affinity_update_is_toward_with_probability_one():
-    env = RecsimEnv(RecsimConfig(n_items=10, n_categories=3), seed=0)
+    env = RecsimEnv(n_items=10, n_categories=3, seed=0)
     env.reset(seed=0)
     env._user = env.action_table.reps[2].copy()
     # affinity 1: toward-probability (1+1)/2 = 1 and the step itself vanishes
@@ -341,7 +337,7 @@ def test_recsim_full_affinity_update_is_toward_with_probability_one():
 
 
 def test_recsim_update_direction_frequency_matches_rule():
-    env = RecsimEnv(RecsimConfig(n_items=50, n_categories=6), seed=0)
+    env = RecsimEnv(n_items=50, n_categories=6, seed=0)
     env.reset(seed=0)
     base_user = env._user.copy()
     item = 11
@@ -363,7 +359,7 @@ def test_recsim_update_direction_frequency_matches_rule():
 
 
 def test_recsim_click_rate_matches_probability():
-    env = RecsimEnv(RecsimConfig(n_items=30, n_categories=5), seed=0)
+    env = RecsimEnv(n_items=30, n_categories=5, seed=0)
     env.reset(seed=0)
     fixed_user = env._user.copy()
     p = env.click_probability(4)
@@ -379,7 +375,7 @@ def test_recsim_click_rate_matches_probability():
 
 
 def test_recsim_horizon_and_bad_id():
-    env = RecsimEnv(RecsimConfig(n_items=10, n_categories=3, horizon=20), seed=0)
+    env = RecsimEnv(n_items=10, n_categories=3, horizon=20, seed=0)
     env.reset(seed=1)
     with pytest.raises(ValueError):
         env.step(10)
@@ -392,7 +388,7 @@ def test_recsim_horizon_and_bad_id():
 
 
 def test_recsim_click_probability_takes_only_ids_in_the_table():
-    env = RecsimEnv(RecsimConfig(n_items=20, n_categories=4), seed=0)
+    env = RecsimEnv(n_items=20, n_categories=4, seed=0)
     env.reset(seed=0)
     for bad in (-1, 20, 2.7):
         with pytest.raises(ValueError):
@@ -631,7 +627,7 @@ def test_continuous_envs_reject_non_finite_actions_before_any_change(bad):
 
 
 def test_discrete_envs_take_only_integer_ids_before_any_change():
-    for env in (small_mining(), RecsimEnv(RecsimConfig(n_items=10, n_categories=3), seed=0)):
+    for env in (small_mining(), RecsimEnv(n_items=10, n_categories=3, seed=0)):
         env.reset(seed=0)
         for bad in (2.7, 2.0, True, np.bool_(True), np.float64(3.0), "3", None):
             with pytest.raises(ValueError):
@@ -674,7 +670,7 @@ CONTRACT_ENVS = {
     "bandit": (lambda: BanditEnv(seed=0), 5),
     "cartpole": (lambda: CartPoleEnv(restriction=CANONICAL_RESTRICTION, horizon=30, seed=0), 4),
     "mining": (lambda: small_mining(), 12),
-    "recsim": (lambda: RecsimEnv(RecsimConfig(n_items=25, n_categories=4), seed=0), 3),
+    "recsim": (lambda: RecsimEnv(n_items=25, n_categories=4, seed=0), 3),
 }
 
 
@@ -749,7 +745,7 @@ def test_env_contract(name):
 def test_envs_keep_only_their_dynamics():
     envs = Env.__subclasses__()
     assert set(envs) == {BanditEnv, CartPoleEnv, MiningEnv, RecsimEnv}
-    owned_by_env = {"step", "reset", "action_low", "action_high", "action_dim", "action_table"}
+    owned_by_env = {"step", "reset", "action_low", "action_high", "action_dim", "action_table", "observation_dim"}
     for cls in envs:
         assert not owned_by_env & set(vars(cls)), cls.__name__
 
@@ -782,11 +778,11 @@ def test_action_bounds_are_read_only_copies():
 ])
 def test_env_rejects_a_bad_action_box(low, high):
     with pytest.raises(ValueError):
-        Env(0, 1, (low, high))
+        Env(0, 1, (low, high), 1)
 
 
 def test_a_failed_reset_starts_no_episode():
-    fresh = Env(0, 5, ([-1.0], [1.0]))  # the base has no dynamics: its _reset raises
+    fresh = Env(0, 5, ([-1.0], [1.0]), 1)  # the base has no dynamics: its _reset raises
     with pytest.raises(NotImplementedError):
         fresh.reset()
     with pytest.raises(EpisodeDoneError):
@@ -815,17 +811,27 @@ def test_a_failed_reset_starts_no_episode():
         lambda: CartPoleEnv(horizon=0),
         lambda: CartPoleEnv(horizon=-1),
         lambda: CartPoleEnv(horizon=2.5),
-        lambda: RecsimEnv(RecsimConfig(n_items=5, n_categories=2, horizon=0)),
-        lambda: MiningConfig(grid_size=3),  # the goal would be the start cell
-        lambda: MiningConfig(grid_size=2),  # the goal would be a wall
-        lambda: RecsimConfig(n_categories=0),
-        lambda: MiningConfig(n_mines=-1),
-        lambda: MiningConfig(n_mine_types=0),
+        lambda: RecsimEnv(n_items=5, n_categories=2, horizon=0),
+        lambda: MiningEnv(grid_size=3),  # the goal would be the start cell
+        lambda: MiningEnv(grid_size=2),  # the goal would be a wall
+        lambda: RecsimEnv(n_categories=0),
+        lambda: MiningEnv(n_mines=-1),
+        lambda: MiningEnv(n_mine_types=0),
         lambda: CartPoleEnv(restriction=RestrictionSpec(centers=[[0.5, -3.0]], radii=[0.2], replacement=[-1.0, 7.0])),
+        lambda: MiningEnv(n_mines=2.5),
+        lambda: MiningEnv(n_mines=True),
+        lambda: MiningEnv(grid_size=10.0),
+        lambda: MiningEnv(n_mine_types=np.float64(5.0)),
+        lambda: RecsimEnv(n_items=10.0),
+        lambda: RecsimEnv(n_categories=True),
+        lambda: RecsimEnv(table_seed=1.5),
+        lambda: RecsimEnv(horizon=True),
     ],
     ids=["cartpole-horizon-0", "cartpole-horizon-negative", "cartpole-horizon-float", "recsim-horizon-0",
          "mining-grid-3", "mining-grid-2", "recsim-no-categories", "mining-n_mines-negative",
-         "mining-no-mine-types", "cartpole-restriction-2d"],
+         "mining-no-mine-types", "cartpole-restriction-2d", "mining-n_mines-float", "mining-n_mines-bool",
+         "mining-grid-float", "mining-mine-types-numpy-float", "recsim-n_items-float", "recsim-categories-bool",
+         "recsim-table_seed-float", "recsim-horizon-bool"],
 )
 def test_degenerate_episode_shapes_are_rejected_at_construction(make):
     with pytest.raises(ValueError):

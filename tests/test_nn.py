@@ -392,8 +392,11 @@ def test_film_matches_hand_computation():
 
 def test_film_width_mismatch_raises():
     gen = FilmGenerator.create(cond_dim=3, width=4, rng=np.random.default_rng(0))
-    with pytest.raises(ShapeError):
-        gen.modulate_tape(np.zeros(5), np.zeros(3))
+    # a feature width off the generator's, then feature batches that would broadcast against cond's
+    cases = [(np.zeros(5), np.zeros(3)), (np.zeros((1, 4)), np.zeros((5, 3))), (np.zeros(4), np.zeros((5, 3)))]
+    for features, cond in cases:
+        with pytest.raises(ShapeError):
+            gen.modulate_tape(features, cond)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -681,6 +684,19 @@ def test_adam_rejects_other_dtypes_and_changes_nothing(other):
     assert state.step == 1
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, -1e-3])
+def test_adam_rejects_a_bad_learning_rate_and_changes_nothing(lr):
+    rng = np.random.default_rng(5151)
+    net = rand_mlp(rng, [3, 4, 2])
+    state = AdamState(net.arrays())
+    adam_step(net.arrays(), _rand_grads(rng, net), state, lr=1e-3)
+    before = [a.copy() for a in net.arrays() + state.m + state.v]
+    with pytest.raises(ValueError, match="lr must be finite and non-negative"):
+        adam_step(net.arrays(), _rand_grads(rng, net), state, lr=lr)
+    assert_same(net.arrays() + state.m + state.v, before)
+    assert state.step == 1
+
+
 def test_adam_rejects_second_moment_of_wrong_shape():
     w = [np.zeros(3)]
     state = AdamState(w)
@@ -751,17 +767,19 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     net = rand_mlp(rng, [3, 7, 2])
     state = AdamState(net.arrays())
     adam_step(net.arrays(), _rand_grads(rng, net), state, lr=1e-3)
-    path = tmp_path / "net.npz"
-    save_arrays(path, net.arrays(), state)
+    for name in ("net.npz", "ckpt"):  # a path without the suffix is written as given
+        path = tmp_path / name
+        save_arrays(path, net.arrays(), state)
+        assert path.is_file() and not (tmp_path / "ckpt.npz").exists()
 
-    other = rand_mlp(np.random.default_rng(99), [3, 7, 2])
-    other_state = AdamState(other.arrays())
-    load_arrays(path, other.arrays(), other_state)
-    for a, b in zip(net.arrays(), other.arrays()):
-        assert np.array_equal(a, b)
-    for m, n in zip(state.m, other_state.m):
-        assert np.array_equal(m, n)
-    assert other_state.step == state.step
+        other = rand_mlp(np.random.default_rng(99), [3, 7, 2])
+        other_state = AdamState(other.arrays())
+        load_arrays(path, other.arrays(), other_state)
+        for a, b in zip(net.arrays(), other.arrays()):
+            assert np.array_equal(a, b)
+        for m, n in zip(state.m, other_state.m):
+            assert np.array_equal(m, n)
+        assert other_state.step == state.step
 
 
 def test_checkpoint_shape_mismatch_raises(tmp_path):

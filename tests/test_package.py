@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import os
 import subprocess
@@ -40,17 +39,15 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 def test_settable_values_stay_pinned():
-    """The env configs and these functions take only the values their callers
-    set; the rest are module constants. Adding a knob back means editing this."""
-
-    def init_fields(cls):
-        return [f.name for f in dataclasses.fields(cls) if f.init]
+    """The env constructors and these functions take only the values their
+    callers set; the rest are module constants. Adding a knob or a config
+    object back means editing this."""
 
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert init_fields(savo.envs.MiningConfig) == ["grid_size", "n_mine_types", "n_mines"]
-    assert init_fields(savo.envs.RecsimConfig) == ["n_items", "n_categories", "horizon", "table_seed"]
+    assert params(savo.envs.MiningEnv.__init__) == ["self", "grid_size", "n_mine_types", "n_mines", "seed"]
+    assert params(savo.envs.RecsimEnv.__init__) == ["self", "n_items", "n_categories", "horizon", "table_seed", "seed"]
     assert params(savo.envs.sample_restriction) == ["seed"]
     assert params(savo.envs.make_tool_map) == ["seed", "n_types"]
     assert params(savo.nn.adam_step) == ["arrays", "grads", "state", "lr"]
