@@ -124,11 +124,12 @@ def maximizer_policy_iteration(
     iteration gives the same numbers as one draw of ``k_proposals`` per state.
     Stops at a policy fixed point; returns the policy, its exact value, and
     the per-iteration value history. Raises ``ValueError`` before any work
-    unless ``k_proposals`` is a non-negative integer (``bool`` excluded).
+    unless ``k_proposals`` is a non-negative integer and ``seed`` an integer
+    (``bool`` excluded from both).
     """
     if checked_int(k_proposals, "k_proposals") < 0:
         raise ValueError(f"k_proposals must be a non-negative integer, got {k_proposals!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_int(seed, "seed"))
     n_s, n_a = mdp.n_states, mdp.n_actions
     states = np.arange(n_s)
     rows = states[:, None]

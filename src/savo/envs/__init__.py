@@ -1,13 +1,7 @@
 from .base import Env, EpisodeDoneError
 from .bandit import BanditEnv, BanditLandscape, canonical_adversarial, random_landscape
 from .mining import MiningEnv, make_tool_map, mining_action_table
-from .pendulum import (
-    CANONICAL_RESTRICTION,
-    CartPoleEnv,
-    RestrictionSpec,
-    check_valid,
-    sample_restriction,
-)
+from .pendulum import CANONICAL_RESTRICTION, CartPoleEnv, RestrictionSpec, check_valid
 from .recsim import RecsimEnv, recsim_action_table
 
 
@@ -38,5 +32,4 @@ __all__ = [
     "mining_action_table",
     "random_landscape",
     "recsim_action_table",
-    "sample_restriction",
 ]

@@ -31,7 +31,8 @@ class Env:
     ``(action_dim,)`` and clips them to it. Any other action raises
     ``ValueError`` before any state changes. ``done`` is ``terminal or
     _t >= horizon``; a step after it, or before a ``reset`` has returned,
-    raises ``EpisodeDoneError``.
+    raises ``EpisodeDoneError``. A ``seed`` that is not an integer raises
+    ``ValueError`` before any state changes.
     """
 
     def __init__(self, seed: int, horizon: int, actions: ActionTable | tuple, observation_dim: int):
@@ -48,7 +49,7 @@ class Env:
             self._low, self._high = low, high
         self.horizon = int(horizon)
         self.observation_dim = checked_int(observation_dim, "observation_dim")
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(checked_int(seed, "seed"))
         self._t = 0
         self._done = True  # no episode runs until the first reset
 
@@ -62,7 +63,7 @@ class Env:
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
-            self._rng = np.random.default_rng(seed)
+            self._rng = np.random.default_rng(checked_int(seed, "seed"))
         self._t, self._done = 0, True  # the latch lifts only once _reset returns
         obs = self._reset()
         self._done = False

@@ -29,11 +29,23 @@ LAMBDA_GOAL = 0.9
 HORIZON = 100
 BREAK_FRACTION = 0.7  # share of tools that break their mine outright
 
+GRID_SIZE = 10  # the board, walls included
+START = (1, 1)
+GOAL = (8, 8)
+# the inner cells a mine may take: all but the start and the goal, x-major
+_FREE = tuple(
+    (x, y)
+    for x in range(1, GRID_SIZE - 1)
+    for y in range(1, GRID_SIZE - 1)
+    if (x, y) not in (START, GOAL)
+)
 
-def make_tool_map(seed: int, n_types: int) -> list[tuple[int, int]]:
-    """tool t -> (applicable mine type, outcome); outcome is BREAK or a target type
-    whose tool breaks, so every clearing chain has length at most two."""
-    rng = np.random.default_rng(seed)
+
+def make_tool_map(n_types: int) -> tuple[tuple[int, int], ...]:
+    """tool t -> (applicable mine type, outcome), drawn from seed 0; outcome is
+    BREAK or a target type whose tool breaks, so every clearing chain has
+    length at most two."""
+    rng = np.random.default_rng(0)
     n_break = max(1, int(round(BREAK_FRACTION * n_types)))
     breakers = set(rng.choice(n_types, size=n_break, replace=False).tolist())
     mapping = []
@@ -43,10 +55,10 @@ def make_tool_map(seed: int, n_types: int) -> list[tuple[int, int]]:
             mapping.append((t, BREAK))
         else:
             mapping.append((t, int(break_list[rng.integers(0, len(break_list))])))
-    return mapping
+    return tuple(mapping)
 
 
-def mining_action_table(tool_map: list[tuple[int, int]]) -> ActionTable:
+def mining_action_table(tool_map: tuple[tuple[int, int], ...]) -> ActionTable:
     """4-D representations in [0, 1]: skill kind, move direction, applicable
     mine type, application outcome; one tool row per entry of ``tool_map``."""
     k = len(tool_map)
@@ -60,49 +72,33 @@ def mining_action_table(tool_map: list[tuple[int, int]]) -> ActionTable:
 
 
 class MiningEnv(Env):
-    """``n_mines`` mines of ``n_mine_types`` types on a walled ``grid_size``
-    square; tool t is ``make_tool_map(0, n_mine_types)[t]``."""
+    """``n_mines`` mines of ``n_mine_types`` types on the walled ``GRID_SIZE``
+    square, from ``START`` to ``GOAL``; tool t is
+    ``make_tool_map(n_mine_types)[t]``. Raises ``ValueError`` unless there is
+    at least one mine type and ``n_mines`` fits the 62 free inner cells."""
 
-    def __init__(self, grid_size: int = 10, n_mine_types: int = 50, n_mines: int = 8, seed: int = 0):
-        self.grid_size = checked_int(grid_size, "grid_size")
-        self.n_mine_types = checked_int(n_mine_types, "n_mine_types")
-        self.n_mines = checked_int(n_mines, "n_mines")
-        if self.grid_size < 4:
-            raise ValueError("grid_size must be at least 4: the start and the goal are distinct inner cells")
-        if self.n_mine_types < 1:
+    def __init__(self, n_mine_types: int = 50, n_mines: int = 8, seed: int = 0):
+        if checked_int(n_mine_types, "n_mine_types") < 1:
             raise ValueError("need at least one mine type")
-        if self.n_mines < 0:
-            raise ValueError("n_mines must be nonnegative")
-        self.tool_map = make_tool_map(0, self.n_mine_types)
-        super().__init__(seed, HORIZON, mining_action_table(self.tool_map), 8 + self.n_mine_types)
-        g = self.grid_size
-        self.start = (1, 1)
-        self.goal = (g - 2, g - 2)
-        self._grid = np.full((g, g), _EMPTY, dtype=np.int64)
-        self._pos = self.start
-        self._dir = RIGHT
+        self._n_mines = checked_int(n_mines, "n_mines")
+        if not 0 <= self._n_mines <= len(_FREE):
+            raise ValueError(f"n_mines must be in [0, {len(_FREE)}], the free inner cells, got {n_mines!r}")
+        self.tool_map = make_tool_map(n_mine_types)
+        super().__init__(seed, HORIZON, mining_action_table(self.tool_map), 8 + len(self.tool_map))
 
     # --- layout -----------------------------------------------------------
 
     def _new_layout(self):
-        g = self.grid_size
-        grid = np.full((g, g), _EMPTY, dtype=np.int64)
+        grid = np.full((GRID_SIZE, GRID_SIZE), _EMPTY, dtype=np.int64)
         grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = _WALL
-        free = [
-            (x, y)
-            for x in range(1, g - 1)
-            for y in range(1, g - 1)
-            if (x, y) not in (self.start, self.goal)
-        ]
-        picks = self._rng.choice(len(free), size=min(self.n_mines, len(free)), replace=False)
-        for idx in picks:
-            x, y = free[int(idx)]
-            grid[x, y] = int(self._rng.integers(0, self.n_mine_types))
+        for idx in self._rng.choice(len(_FREE), size=self._n_mines, replace=False):
+            x, y = _FREE[int(idx)]
+            grid[x, y] = int(self._rng.integers(0, len(self.tool_map)))
         return grid
 
     def _reset(self) -> np.ndarray:
         self._grid = self._new_layout()
-        self._pos = self.start
+        self._pos = START
         self._dir = RIGHT
         return self._observe()
 
@@ -112,28 +108,27 @@ class MiningEnv(Env):
         return int(self._grid[x, y])
 
     def _observe(self) -> np.ndarray:
-        k = self.n_mine_types
-        g = self.grid_size
+        k = len(self.tool_map)
         obs = np.zeros(8 + k)
         x, y = self._pos
-        obs[0] = x / (g - 1)
-        obs[1] = y / (g - 1)
+        obs[0] = x / (GRID_SIZE - 1)
+        obs[1] = y / (GRID_SIZE - 1)
         obs[2] = self._dir / 3.0
         for i, d in enumerate((RIGHT, DOWN, LEFT, UP)):
             dx, dy = _DELTAS[d]
             cell = self._cell(x + dx, y + dy)
-            walkable = cell == _EMPTY or (x + dx, y + dy) == self.goal
+            walkable = cell == _EMPTY or (x + dx, y + dy) == GOAL
             obs[3 + i] = 1.0 if walkable else 0.0
         fx, fy = x + _DELTAS[self._dir][0], y + _DELTAS[self._dir][1]
         front = self._cell(fx, fy)
         if front >= 0:
             obs[7 + front] = 1.0
-        elif (fx, fy) == self.goal:
+        elif (fx, fy) == GOAL:
             obs[7 + k] = 1.0
         return obs
 
     def _distance(self) -> int:
-        return abs(self._pos[0] - self.goal[0]) + abs(self._pos[1] - self.goal[1])
+        return abs(self._pos[0] - GOAL[0]) + abs(self._pos[1] - GOAL[1])
 
     # --- dynamics ---------------------------------------------------------
 
@@ -146,9 +141,9 @@ class MiningEnv(Env):
             dx, dy = _DELTAS[action_id]
             nx, ny = self._pos[0] + dx, self._pos[1] + dy
             target = self._cell(nx, ny)
-            if target == _EMPTY or (nx, ny) == self.goal:
+            if target == _EMPTY or (nx, ny) == GOAL:
                 self._pos = (nx, ny)
-                reached = self._pos == self.goal
+                reached = self._pos == GOAL
         else:
             tool = action_id - 4
             mine_type, outcome = self.tool_map[tool]

@@ -24,11 +24,6 @@ FORCE_SCALE = 10.0
 DT = 0.02
 THETA_LIMIT = 12.0 * np.pi / 180.0
 
-N_SPHERES = 4
-SPHERE_RADIUS = 0.12
-RECOVERABLE = (0.1, 0.5)  # the command band that keeps the pole recoverable from upright
-MAX_TRIES = 10_000
-
 
 @dataclass
 class RestrictionSpec:
@@ -62,29 +57,8 @@ def check_valid(action: np.ndarray, restriction: RestrictionSpec) -> bool:
     return bool(np.any(d <= restriction.radii))
 
 
-def sample_restriction(seed: int) -> RestrictionSpec:
-    """Seeded 1-D restriction: N_SPHERES disjoint spheres of radius SPHERE_RADIUS, none
-    covering the idle action 0, at least one overlapping the RECOVERABLE band."""
-    rng = np.random.default_rng(seed)
-    for _ in range(MAX_TRIES):
-        centers = rng.uniform(-1.0 + SPHERE_RADIUS, 1.0 - SPHERE_RADIUS, size=N_SPHERES)
-        centers.sort()
-        if np.any(np.diff(centers) < 2.0 * SPHERE_RADIUS):
-            continue  # overlapping spheres collapse into one peak
-        if np.any(np.abs(centers) <= SPHERE_RADIUS):
-            continue  # keep the idle action invalid so the landscape is non-trivial
-        lo, hi = RECOVERABLE
-        if not np.any((centers + SPHERE_RADIUS >= lo) & (centers - SPHERE_RADIUS <= hi)):
-            continue
-        return RestrictionSpec(
-            centers=centers[:, None], radii=np.full(N_SPHERES, SPHERE_RADIUS), replacement=np.array([-1.0])
-        )
-    raise RuntimeError("could not sample a restriction satisfying the constraints")
-
-
-# frozen output of sample_restriction(seed=7); pinned so experiments can
-# reference one canonical restricted task (a single positive-force island at
-# +0.58 among three negative decoys, idle action invalid)
+# the one restricted task: four disjoint spheres of radius 0.12, one positive
+# island at +0.58 among three negative decoys, and the idle action 0 invalid
 CANONICAL_RESTRICTION = RestrictionSpec(
     centers=np.array([
         [-0.87342773398834628],

@@ -10,19 +10,21 @@ from ..checks import checked_int
 from .base import Env
 
 USER_STEP = 0.05  # share of the gap to a clicked item that the user moves
+HORIZON = 20
 
 
-def recsim_action_table(n_items: int, n_categories: int, table_seed: int) -> ActionTable:
-    """Item embeddings drawn from a Gaussian mixture with one component per
-    category (centres uniform in [-1, 1]^C, standard deviation 0.3; the
-    component is the item's category), normalized onto the unit sphere so
-    all user-item dot products are bounded by 1. Raises ``ValueError``
-    unless all three are integers, with at least one item and one category."""
+def recsim_action_table(n_items: int, n_categories: int) -> ActionTable:
+    """Item embeddings drawn from seed 0 as a Gaussian mixture with one
+    component per category (centres uniform in [-1, 1]^C, standard deviation
+    0.3; the component is the item's category), normalized onto the unit
+    sphere so all user-item dot products are bounded by 1. Raises
+    ``ValueError`` unless both are integers, with at least one item and one
+    category."""
     if checked_int(n_items, "n_items") < 1:
         raise ValueError("need at least one item")
     if checked_int(n_categories, "n_categories") < 1:
         raise ValueError("need at least one category")
-    rng = np.random.default_rng(checked_int(table_seed, "table_seed"))
+    rng = np.random.default_rng(0)
     c = n_categories
     centers = rng.uniform(-1.0, 1.0, size=(c, c))
     category = rng.integers(0, c, size=n_items)
@@ -31,10 +33,8 @@ def recsim_action_table(n_items: int, n_categories: int, table_seed: int) -> Act
 
 
 class RecsimEnv(Env):
-    def __init__(
-        self, n_items: int = 1000, n_categories: int = 20, horizon: int = 20, table_seed: int = 0, seed: int = 0
-    ):
-        super().__init__(seed, horizon, recsim_action_table(n_items, n_categories, table_seed), n_categories)
+    def __init__(self, n_items: int = 1000, n_categories: int = 20, seed: int = 0):
+        super().__init__(seed, HORIZON, recsim_action_table(n_items, n_categories), n_categories)
         self._user = np.zeros(self.observation_dim)
 
     def _reset(self) -> np.ndarray:

@@ -395,6 +395,19 @@ def test_maximizer_pi_rejects_bad_k_before_any_solve(k, monkeypatch):
         maximizer_policy_iteration(mdp, k)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "2", None, np.float64(2.0)])
+def test_maximizer_pi_rejects_a_bad_seed_before_any_solve(seed, monkeypatch):
+    import savo.analysis.mdp as mdp_module
+
+    def no_solve(*args):
+        raise AssertionError("a policy was evaluated before the seed was checked")
+
+    mdp = random_mdp(np.random.default_rng(0), n_states=4, n_actions=3)
+    monkeypatch.setattr(mdp_module, "policy_evaluation_exact", no_solve)
+    with pytest.raises(ValueError):
+        maximizer_policy_iteration(mdp, 2, seed=seed)
+
+
 def test_maximizer_pi_takes_numpy_integer_k():
     mdp = random_mdp(np.random.default_rng(1), n_states=6, n_actions=5)
     got = maximizer_policy_iteration(mdp, np.int64(2), seed=3)

@@ -17,9 +17,8 @@ from savo.envs import (
     make_tool_map,
     mining_action_table,
     random_landscape,
-    sample_restriction,
 )
-from savo.envs.mining import BREAK, DOWN, RIGHT
+from savo.envs.mining import BREAK, DOWN, GOAL, RIGHT, START
 from savo.envs.recsim import USER_STEP
 
 from loop_oracles import EagerLandscape
@@ -31,6 +30,13 @@ def test_check_valid_inside_sphere():
     spec = RestrictionSpec(centers=[[0.5]], radii=[0.1], replacement=[-1.0])
     assert check_valid(np.array([0.55]), spec)
     assert not check_valid(np.array([0.3]), spec)
+    # the canonical task: the idle action is invalid, the positive island valid, no two spheres touch
+    assert not check_valid(np.array([0.0]), CANONICAL_RESTRICTION)
+    assert check_valid(np.array([0.58]), CANONICAL_RESTRICTION)
+    centers, radii = CANONICAL_RESTRICTION.centers[:, 0], CANONICAL_RESTRICTION.radii
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert abs(centers[i] - centers[j]) > radii[i] + radii[j]
 
 
 def test_check_valid_at_center_and_boundary():
@@ -62,12 +68,6 @@ def test_check_valid_empty_sphere_list():
 def test_restriction_rejects_bad_spec(centers, radii, replacement):
     with pytest.raises(ValueError):
         RestrictionSpec(centers=centers, radii=radii, replacement=replacement)
-
-
-def test_canonical_restriction_matches_generator():
-    generated = sample_restriction(seed=7)
-    assert np.allclose(generated.centers, CANONICAL_RESTRICTION.centers, atol=1e-16)
-    assert np.array_equal(generated.radii, CANONICAL_RESTRICTION.radii)
 
 
 def test_restriction_keeps_read_only_copies():
@@ -176,7 +176,7 @@ def small_mining(seed=0, **overrides):
 def test_mining_goal_reward_at_step_50():
     env = small_mining()
     env.reset(seed=0)
-    gx, gy = env.goal
+    gx, gy = GOAL
     env._grid[gx - 1, gy] = -1  # clear the approach cell
     env._pos = (gx - 1, gy)
     env._dir = RIGHT
@@ -244,12 +244,19 @@ def test_mining_observation_in_unit_interval():
     env = small_mining()
     rng = np.random.default_rng(8)
     obs = env.reset(seed=8)
-    assert obs.shape == (8 + env.n_mine_types,)
+    assert obs.shape == (8 + len(env.tool_map),)
     for _ in range(300):
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
         obs, _, done, _ = env.step(int(rng.integers(0, len(env.action_table))))
         if done:
             obs = env.reset()
+
+
+def test_mining_fills_every_free_cell_at_62_mines():
+    env = small_mining(n_mines=62)
+    env.reset(seed=6)
+    assert int((env._grid >= 0).sum()) == 62
+    assert env._grid[START] == env._grid[GOAL] == -1
 
 
 def test_mining_direct_path_beats_wasted_moves():
@@ -277,7 +284,7 @@ def test_mining_invalid_action_raises():
 
 
 def test_tool_map_is_function_with_terminating_chains():
-    mapping = make_tool_map(seed=0, n_types=50)
+    mapping = make_tool_map(n_types=50)
     assert len(mapping) == 50
     for _, (mine_type, outcome) in enumerate(mapping):
         assert 0 <= mine_type < 50
@@ -286,7 +293,7 @@ def test_tool_map_is_function_with_terminating_chains():
 
 
 def test_mining_action_table_shape_and_bounds():
-    table = mining_action_table(make_tool_map(0, 50))
+    table = mining_action_table(make_tool_map(50))
     assert len(table) == 54
     assert table.dim == 4
     assert np.all(table.reps >= 0.0) and np.all(table.reps <= 1.0)
@@ -294,18 +301,24 @@ def test_mining_action_table_shape_and_bounds():
 
 
 def test_mining_action_table_single_mine_type():
-    table = mining_action_table(make_tool_map(0, 1))
+    table = mining_action_table(make_tool_map(1))
     assert len(table) == 5
     assert np.array_equal(table.reps[4], [1.0, 0.0, 0.0, 1.0])
 
 
 def test_mining_derives_one_tool_per_mine_type():
     env = MiningEnv(n_mine_types=10, seed=0)
-    assert len(env.action_table) == 14 and env.observation_dim == 18
-    assert env.tool_map == make_tool_map(0, 10)
-    assert np.array_equal(env.action_table.reps, mining_action_table(make_tool_map(0, 10)).reps)
+    assert len(env.action_table) == 14 and env.observation_dim == 18 == 8 + len(env.tool_map)
+    assert env.tool_map == make_tool_map(10)
+    assert np.array_equal(env.action_table.reps, mining_action_table(make_tool_map(10)).reps)
     assert env.reset(seed=0).shape == (18,)
     env.step(13)
+    # the task is fixed at construction: no public attribute but Env's own and a read-only tool table
+    assert {k for k in vars(env) if not k.startswith("_")} == {
+        "action_table", "action_dim", "horizon", "observation_dim", "tool_map"
+    }
+    with pytest.raises(TypeError):
+        env.tool_map[0] = (0, BREAK)
     with pytest.raises(ValueError, match="at least one mine type"):  # before make_tool_map's own draw fails
         MiningEnv(n_mine_types=0)
 
@@ -375,7 +388,7 @@ def test_recsim_click_rate_matches_probability():
 
 
 def test_recsim_horizon_and_bad_id():
-    env = RecsimEnv(n_items=10, n_categories=3, horizon=20, seed=0)
+    env = RecsimEnv(n_items=10, n_categories=3, seed=0)
     env.reset(seed=1)
     with pytest.raises(ValueError):
         env.step(10)
@@ -781,6 +794,18 @@ def test_env_rejects_a_bad_action_box(low, high):
         Env(0, 1, (low, high), 1)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(2.0), "3"])
+def test_a_bad_reset_seed_raises_and_changes_nothing(seed):
+    env = small_mining()
+    env.reset(seed=0)
+    env.step(RIGHT)
+    before = private_state(env)
+    with pytest.raises(ValueError):
+        env.reset(seed=seed)
+    assert private_state(env) == before  # the rng, _t, the latch and the board
+    env.step(RIGHT)
+
+
 def test_a_failed_reset_starts_no_episode():
     fresh = Env(0, 5, ([-1.0], [1.0]), 1)  # the base has no dynamics: its _reset raises
     with pytest.raises(NotImplementedError):
@@ -811,27 +836,23 @@ def test_a_failed_reset_starts_no_episode():
         lambda: CartPoleEnv(horizon=0),
         lambda: CartPoleEnv(horizon=-1),
         lambda: CartPoleEnv(horizon=2.5),
-        lambda: RecsimEnv(n_items=5, n_categories=2, horizon=0),
-        lambda: MiningEnv(grid_size=3),  # the goal would be the start cell
-        lambda: MiningEnv(grid_size=2),  # the goal would be a wall
         lambda: RecsimEnv(n_categories=0),
         lambda: MiningEnv(n_mines=-1),
         lambda: MiningEnv(n_mine_types=0),
         lambda: CartPoleEnv(restriction=RestrictionSpec(centers=[[0.5, -3.0]], radii=[0.2], replacement=[-1.0, 7.0])),
         lambda: MiningEnv(n_mines=2.5),
         lambda: MiningEnv(n_mines=True),
-        lambda: MiningEnv(grid_size=10.0),
         lambda: MiningEnv(n_mine_types=np.float64(5.0)),
         lambda: RecsimEnv(n_items=10.0),
         lambda: RecsimEnv(n_categories=True),
-        lambda: RecsimEnv(table_seed=1.5),
-        lambda: RecsimEnv(horizon=True),
+        lambda: MiningEnv(n_mines=63),  # one more than the free inner cells
+        lambda: MiningEnv(seed=2.5),
+        lambda: MiningEnv(seed=True),
     ],
-    ids=["cartpole-horizon-0", "cartpole-horizon-negative", "cartpole-horizon-float", "recsim-horizon-0",
-         "mining-grid-3", "mining-grid-2", "recsim-no-categories", "mining-n_mines-negative",
-         "mining-no-mine-types", "cartpole-restriction-2d", "mining-n_mines-float", "mining-n_mines-bool",
-         "mining-grid-float", "mining-mine-types-numpy-float", "recsim-n_items-float", "recsim-categories-bool",
-         "recsim-table_seed-float", "recsim-horizon-bool"],
+    ids=["cartpole-horizon-0", "cartpole-horizon-negative", "cartpole-horizon-float", "recsim-no-categories",
+         "mining-n_mines-negative", "mining-no-mine-types", "cartpole-restriction-2d", "mining-n_mines-float",
+         "mining-n_mines-bool", "mining-mine-types-numpy-float", "recsim-n_items-float", "recsim-categories-bool",
+         "mining-n_mines-63", "mining-seed-float", "mining-seed-bool"],
 )
 def test_degenerate_episode_shapes_are_rejected_at_construction(make):
     with pytest.raises(ValueError):

@@ -46,9 +46,9 @@ def test_settable_values_stay_pinned():
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert params(savo.envs.MiningEnv.__init__) == ["self", "grid_size", "n_mine_types", "n_mines", "seed"]
-    assert params(savo.envs.RecsimEnv.__init__) == ["self", "n_items", "n_categories", "horizon", "table_seed", "seed"]
-    assert params(savo.envs.sample_restriction) == ["seed"]
-    assert params(savo.envs.make_tool_map) == ["seed", "n_types"]
+    assert params(savo.envs.MiningEnv.__init__) == ["self", "n_mine_types", "n_mines", "seed"]
+    assert params(savo.envs.RecsimEnv.__init__) == ["self", "n_items", "n_categories", "seed"]
+    assert params(savo.envs.make_tool_map) == ["n_types"]
+    assert params(savo.envs.recsim_action_table) == ["n_items", "n_categories"]
     assert params(savo.nn.adam_step) == ["arrays", "grads", "state", "lr"]
     assert params(savo.nn.FilmGenerator.backward) == ["self", "tape", "dout"]
