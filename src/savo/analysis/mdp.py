@@ -10,6 +10,9 @@ import numpy as np
 
 from ..checks import checked_int, frozen_copy
 
+TOL = 1e-10  # value iteration's span tolerance
+MAX_ITER = 1_000_000  # value iteration's backup budget
+
 
 class ConvergenceError(RuntimeError):
     pass
@@ -61,34 +64,29 @@ def random_mdp(
     return TabularMDP(transition=raw, reward=reward, gamma=gamma)
 
 
-def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 1_000_000) -> np.ndarray:
+def value_iteration(mdp: TabularMDP) -> np.ndarray:
     """Optimal values by optimality backups, stopped on the MacQueen–Porteus
     span bound (Puterman, Markov Decision Processes, 1994, §6.6.3).
 
     After each backup Tv, with d = Tv - v, the optimum lies between
-    Tv + γ/(1-γ)·min d and Tv + γ/(1-γ)·max d. Once γ·(max d - min d) < tol
+    Tv + γ/(1-γ)·min d and Tv + γ/(1-γ)·max d. Once γ·(max d - min d) < TOL
     this returns the midpoint, v' = Tv + γ/(1-γ)·(max d + min d)/2. Its
-    Bellman residual is at most γ·(max d - min d)/2 < tol/2: T(Tv) - Tv lies
+    Bellman residual is at most γ·(max d - min d)/2 < TOL/2: T(Tv) - Tv lies
     in [γ·min d, γ·max d] and v' shifts Tv by a constant, so
     Tv' - v' = T(Tv) - Tv - γ·(max d + min d)/2. The span shrinks at least
     as fast as γ^n, often much faster, so this stops well before a stop on
-    max |d| would. Raises ``ConvergenceError`` after ``max_iter`` backups.
+    max |d| would. Raises ``ConvergenceError`` after ``MAX_ITER`` backups.
     """
     v = np.zeros(mdp.n_states)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         q = mdp.reward + mdp.gamma * mdp.transition @ v
         v_next = q.max(axis=1)
         d = v_next - v
         lo, hi = d.min(), d.max()
-        if mdp.gamma * (hi - lo) < tol:
+        if mdp.gamma * (hi - lo) < TOL:
             return v_next + mdp.gamma / (1.0 - mdp.gamma) * (0.5 * (hi + lo))
         v = v_next
     raise ConvergenceError("value iteration did not reach the span tolerance")
-
-
-def bellman_residual(mdp: TabularMDP, v: np.ndarray) -> float:
-    q = mdp.reward + mdp.gamma * mdp.transition @ v
-    return float(np.max(np.abs(q.max(axis=1) - v)))
 
 
 def policy_evaluation_exact(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:

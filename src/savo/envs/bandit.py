@@ -208,8 +208,8 @@ class BanditLandscape:
         return g
 
 
-def random_landscape(rng: np.random.Generator, n_bumps: int | None = None, dim: int = 1) -> BanditLandscape:
-    m = int(n_bumps if n_bumps is not None else rng.integers(2, 9))
+def random_landscape(rng: np.random.Generator, dim: int = 1) -> BanditLandscape:
+    m = int(rng.integers(2, 9))
     return BanditLandscape(
         low=-np.ones(dim),
         high=np.ones(dim),
@@ -233,11 +233,11 @@ def canonical_adversarial() -> BanditLandscape:
 
 class BanditEnv(Env):
     def __init__(self, landscape: BanditLandscape | None = None, seed: int = 0):
-        self.landscape = landscape or canonical_adversarial()
-        super().__init__(seed, 1, (self.landscape.low, self.landscape.high), 1)
+        self._landscape = landscape or canonical_adversarial()
+        super().__init__(seed, 1, (self._landscape.low, self._landscape.high), 1)
 
     def _reset(self) -> np.ndarray:
         return np.zeros(1)
 
     def _step(self, a):
-        return np.zeros(1), self.landscape.value_at(a), True, {}
+        return np.zeros(1), self._landscape.value_at(a), True, {}

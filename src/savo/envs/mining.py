@@ -83,8 +83,8 @@ class MiningEnv(Env):
         self._n_mines = checked_int(n_mines, "n_mines")
         if not 0 <= self._n_mines <= len(_FREE):
             raise ValueError(f"n_mines must be in [0, {len(_FREE)}], the free inner cells, got {n_mines!r}")
-        self.tool_map = make_tool_map(n_mine_types)
-        super().__init__(seed, HORIZON, mining_action_table(self.tool_map), 8 + len(self.tool_map))
+        self._tool_map = make_tool_map(n_mine_types)
+        super().__init__(seed, HORIZON, mining_action_table(self._tool_map), 8 + len(self._tool_map))
 
     # --- layout -----------------------------------------------------------
 
@@ -93,7 +93,7 @@ class MiningEnv(Env):
         grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = _WALL
         for idx in self._rng.choice(len(_FREE), size=self._n_mines, replace=False):
             x, y = _FREE[int(idx)]
-            grid[x, y] = int(self._rng.integers(0, len(self.tool_map)))
+            grid[x, y] = int(self._rng.integers(0, len(self._tool_map)))
         return grid
 
     def _reset(self) -> np.ndarray:
@@ -108,7 +108,7 @@ class MiningEnv(Env):
         return int(self._grid[x, y])
 
     def _observe(self) -> np.ndarray:
-        k = len(self.tool_map)
+        k = len(self._tool_map)
         obs = np.zeros(8 + k)
         x, y = self._pos
         obs[0] = x / (GRID_SIZE - 1)
@@ -146,7 +146,7 @@ class MiningEnv(Env):
                 reached = self._pos == GOAL
         else:
             tool = action_id - 4
-            mine_type, outcome = self.tool_map[tool]
+            mine_type, outcome = self._tool_map[tool]
             fx = self._pos[0] + _DELTAS[self._dir][0]
             fy = self._pos[1] + _DELTAS[self._dir][1]
             if self._cell(fx, fy) == mine_type:

@@ -9,6 +9,7 @@ surface multi-peaked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,36 +24,42 @@ POLE_HALF_LENGTH = 0.5
 FORCE_SCALE = 10.0
 DT = 0.02
 THETA_LIMIT = 12.0 * np.pi / 180.0
+HORIZON = 500
 
 
 @dataclass
 class RestrictionSpec:
-    """Valid-action hyperspheres plus the command executed for invalid actions,
-    kept as private read-only float64 copies."""
+    """Valid-action spheres on the 1-D force axis plus the command executed
+    for invalid actions, kept as private read-only float64 copies. Raises
+    ``ValueError`` unless they are finite, with at least one sphere and
+    every radius positive."""
 
-    centers: np.ndarray  # (M, D)
+    centers: np.ndarray  # (M, 1)
     radii: np.ndarray  # (M,)
-    replacement: np.ndarray  # (D,)
+    replacement: np.ndarray  # (1,)
 
     def __post_init__(self):
         self.centers = frozen_copy(self.centers, ndmin=2)
         self.radii = frozen_copy(self.radii, ndmin=1)
         self.replacement = frozen_copy(self.replacement, ndmin=1)
-        if self.centers.shape[0] != self.radii.shape[0]:
-            raise ValueError("need one radius per sphere center")
-        if self.centers.shape[0] and np.any(self.radii <= 0.0):
+        m = len(self.centers)
+        if m < 1 or self.centers.shape != (m, 1) or self.radii.shape != (m,) or self.replacement.shape != (1,):
+            raise ValueError(
+                f"need centers (M, 1) with M >= 1, radii (M,) and a replacement (1,), got shapes "
+                f"{self.centers.shape}, {self.radii.shape} and {self.replacement.shape}"
+            )
+        if np.any(self.radii <= 0.0):
             raise ValueError("sphere radii must be positive")
-        if self.replacement.shape != self.centers.shape[1:]:
-            raise ValueError(f"replacement must be ({self.centers.shape[1]},), got shape {self.replacement.shape}")
         if not all(np.isfinite(x).all() for x in (self.centers, self.radii, self.replacement)):
             raise ValueError("restriction centers, radii and replacement must be finite")
 
 
 def check_valid(action: np.ndarray, restriction: RestrictionSpec) -> bool:
-    """True iff the action lies inside at least one (closed) sphere."""
-    if restriction.centers.shape[0] == 0:
-        return False
+    """True iff the action lies inside at least one (closed) sphere. Raises
+    ``ValueError`` unless the action is one finite value."""
     a = np.atleast_1d(np.asarray(action, dtype=np.float64))
+    if a.shape != (1,) or not math.isfinite(a[0]):
+        raise ValueError(f"action must be one finite value, got {action!r}")
     d = np.linalg.norm(restriction.centers - a, axis=1)
     return bool(np.any(d <= restriction.radii))
 
@@ -76,11 +83,9 @@ class CartPoleEnv(Env):
 
     _obs_scale = np.array([2.4, 3.0, THETA_LIMIT, 3.0])
 
-    def __init__(self, restriction: RestrictionSpec | None = None, horizon: int = 500, seed: int = 0):
-        super().__init__(seed, horizon, ([-1.0], [1.0]), 4)
-        if restriction is not None and restriction.centers.shape[1] != self.action_dim:
-            raise ValueError(f"a cart-pole restriction must be 1-D, got centers of shape {restriction.centers.shape}")
-        self.restriction = restriction
+    def __init__(self, restriction: RestrictionSpec | None = None, seed: int = 0):
+        super().__init__(seed, HORIZON, ([-1.0], [1.0]), 4)
+        self._restriction = restriction
         self._state = np.zeros(4)  # x, x_dot, theta, theta_dot
 
     def _reset(self) -> np.ndarray:
@@ -91,8 +96,8 @@ class CartPoleEnv(Env):
         return self._state / self._obs_scale
 
     def _step(self, a):
-        if self.restriction is not None and not check_valid(a, self.restriction):
-            a = self.restriction.replacement
+        if self._restriction is not None and not check_valid(a, self._restriction):
+            a = self._restriction.replacement
         x, x_dot, theta, theta_dot = self._state
         force = FORCE_SCALE * float(a[0])
         cos_t, sin_t = np.cos(theta), np.sin(theta)

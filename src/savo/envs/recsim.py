@@ -42,10 +42,6 @@ class RecsimEnv(Env):
         self._user = u / np.linalg.norm(u)
         return self._user.copy()
 
-    def click_probability(self, item_id: int) -> float:
-        """Raises ``ValueError`` unless ``item_id`` is an integer id in the table."""
-        return self._click_probability(self.action_table.rep_of(item_id))
-
     def _click_probability(self, rep: np.ndarray) -> float:
         e_score = np.exp(float(self._user @ rep))
         return e_score / (e_score + 1.0)  # the skip option scores 0, and exp(0) = 1

@@ -12,14 +12,13 @@ from .core import Mlp, ShapeError
 @dataclass
 class SetSummary:
     vector: np.ndarray
-    count: int
 
 
 class DeepSetSummarizer:
     """phi-MLP per element, mean pooling, rho-MLP on the pooled vector.
 
-    phi and rho are both two-layer ReLU MLPs. The empty set summarizes to
-    the zero vector by convention.
+    phi and rho are both two-layer ReLU MLPs. Every set holds at least one
+    element: an empty set raises ``ShapeError``.
     """
 
     def __init__(self, phi: Mlp, rho: Mlp):
@@ -52,7 +51,7 @@ class DeepSetSummarizer:
         rho. Records the phi and rho layers into the given lists, if any."""
         b, m, p = elements.shape
         if m == 0:
-            return np.zeros((b, self.summary_dim), dtype=self.rho.dtype), (b, m, None, None)
+            raise ShapeError("a set needs at least one element")
         h, phi_tape = self.phi._forward(elements.reshape(b * m, p), phi_tapes)
         out, rho_tape = self.rho._forward(h.reshape(b, m, -1).mean(axis=1), rho_tapes)
         return out, (b, m, phi_tape, rho_tape)
@@ -63,13 +62,11 @@ class DeepSetSummarizer:
         Elements are put in a canonical (lexicographic) order before pooling
         so the output is bitwise identical under input permutation.
         """
-        if len(elements) == 0:
-            return SetSummary(np.zeros(self.summary_dim, dtype=self.rho.dtype), 0)
         mat = np.asarray(elements, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[1] != self.element_dim:
             raise ShapeError(f"elements must be vectors of length {self.element_dim}")
         mat = mat[np.lexsort(mat.T[::-1])]
-        return SetSummary(self._pool(mat[None], None, None)[0][0], mat.shape[0])
+        return SetSummary(self._pool(mat[None], None, None)[0][0])
 
     # --- batched paths used inside the agent (element order is the stored
     # candidate order; only used with a fixed element count per row) ---
@@ -83,9 +80,6 @@ class DeepSetSummarizer:
     def backward_batch(self, tape, dout: np.ndarray):
         """Returns (d_elements, grads); grads match :meth:`arrays` order."""
         b, m, phi_tape, rho_tape = tape
-        if m == 0:
-            delems = np.zeros((b, 0, self.element_dim), dtype=self.phi.dtype)
-            return delems, [np.zeros_like(a) for a in self.arrays()]
         dpooled, rho_grads = self.rho.backward(rho_tape, dout)
         dh = np.repeat(dpooled / m, m, axis=0)
         delems, phi_grads = self.phi.backward(phi_tape, dh)

@@ -7,6 +7,7 @@
 - ``loop_value_iteration`` stops on the Bellman residual max |Tv - v|, not
   on the span bound; its values agree with ``value_iteration`` within the
   two stopping rules' error bounds, not bit for bit.
+- ``bellman_residual`` is that residual, max |Tv - v|, at any ``v``.
 
 Tests compare ``savo`` against the first two with ``np.array_equal`` or
 ``==``, never with a tolerance, and the benchmark contract test swaps them
@@ -73,6 +74,11 @@ def loop_policy_iteration(mdp, k_proposals: int, seed: int = 0, full_coverage: b
             return policy, v, history
         policy = new_policy
     raise ConvergenceError(f"no policy fixed point within {max_iters} iterations")
+
+
+def bellman_residual(mdp, v: np.ndarray) -> float:
+    q = mdp.reward + mdp.gamma * mdp.transition @ v
+    return float(np.max(np.abs(q.max(axis=1) - v)))
 
 
 def loop_value_iteration(mdp, tol: float = 1e-10, max_iter: int = 1_000_000) -> np.ndarray:

@@ -7,10 +7,11 @@ from savo.analysis.landscape import (
     surrogate_optima_profile,
     surrogate_values,
 )
+import savo.analysis.mdp
 from savo.analysis.mdp import (
+    TOL,
     ConvergenceError,
     TabularMDP,
-    bellman_residual,
     maximizer_policy_iteration,
     policy_evaluation_exact,
     random_mdp,
@@ -18,7 +19,7 @@ from savo.analysis.mdp import (
 )
 from savo.envs import random_landscape
 
-from loop_oracles import loop_policy_iteration, loop_value_iteration
+from loop_oracles import bellman_residual, loop_policy_iteration, loop_value_iteration
 
 
 # ---------------------------------------------------------- optima counting
@@ -147,7 +148,7 @@ def test_count_rejects_non_finite_and_empty_grids():
 
 def test_profile_with_anchor_at_global_max_collapses_to_one():
     rng = np.random.default_rng(1)
-    landscape = random_landscape(rng, n_bumps=5)
+    landscape = random_landscape(rng)
     grid = np.linspace(-1, 1, 2001)[:, None]
     q = landscape.value(grid)
     profile = surrogate_optima_profile(q, np.array([q.max()]))
@@ -221,7 +222,7 @@ def test_value_iteration_gamma_zero_is_max_reward():
 def test_value_iteration_residual_below_tolerance():
     mdp = random_mdp(np.random.default_rng(4), n_states=20, n_actions=10, gamma=0.9)
     v = value_iteration(mdp)
-    assert bellman_residual(mdp, v) < 1e-10
+    assert bellman_residual(mdp, v) < TOL
 
 
 def test_transition_row_sums_validated():
@@ -232,32 +233,36 @@ def test_transition_row_sums_validated():
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 0.99])
 def test_value_iteration_span_stop_matches_the_residual_stop(gamma):
-    tol = 1e-10
     for seed in range(3):
         mdp = random_mdp(np.random.default_rng(90 + seed), n_states=15, n_actions=6, gamma=gamma)
-        v = value_iteration(mdp, tol=tol)
-        assert bellman_residual(mdp, v) < tol
-        assert np.max(np.abs(v - loop_value_iteration(mdp, tol=tol))) <= 2.0 * tol / (1.0 - gamma)
+        v = value_iteration(mdp)
+        assert bellman_residual(mdp, v) < TOL
+        assert np.max(np.abs(v - loop_value_iteration(mdp, tol=TOL))) <= 2.0 * TOL / (1.0 - gamma)
 
 
-def test_value_iteration_raises_after_max_iter_backups():
+def test_value_iteration_raises_after_max_iter_backups(monkeypatch):
     # a deterministic 2-cycle: the span of Tv - v after n backups is gamma^(n - 1)
     transition = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
     reward = np.array([[1.0], [0.0]])
+    monkeypatch.setattr(savo.analysis.mdp, "MAX_ITER", 5)
     with pytest.raises(ConvergenceError):
-        value_iteration(TabularMDP(transition, reward, gamma=0.99), max_iter=5)
-    # at gamma = 1/2 the spans are exact: 2^-34 is the first gamma * span below 1e-10
+        value_iteration(TabularMDP(transition, reward, gamma=0.99))
+    # at gamma = 1/2 the spans are exact: 2^-34 is the first gamma * span below TOL = 1e-10
+    assert TOL == 1e-10
     mdp = TabularMDP(transition, reward, gamma=0.5)
+    monkeypatch.setattr(savo.analysis.mdp, "MAX_ITER", 33)
     with pytest.raises(ConvergenceError):
-        value_iteration(mdp, max_iter=33)
-    v = value_iteration(mdp, max_iter=34)
+        value_iteration(mdp)
+    monkeypatch.setattr(savo.analysis.mdp, "MAX_ITER", 34)
+    v = value_iteration(mdp)
     assert bellman_residual(mdp, v) <= 0.5e-10  # the midpoint's certificate, gamma * span / 2
 
 
-def test_value_iteration_stops_within_40_backups_at_the_workload_shape():
+def test_value_iteration_stops_within_40_backups_at_the_workload_shape(monkeypatch):
     mdp = random_mdp(np.random.default_rng(6), n_states=60, n_actions=20)
-    v = value_iteration(mdp, max_iter=40)
-    assert bellman_residual(mdp, v) < 1e-10
+    monkeypatch.setattr(savo.analysis.mdp, "MAX_ITER", 40)
+    v = value_iteration(mdp)
+    assert bellman_residual(mdp, v) < TOL
 
 
 @pytest.mark.parametrize(

@@ -40,14 +40,17 @@ def test_check_valid_inside_sphere():
 
 
 def test_check_valid_at_center_and_boundary():
-    spec = RestrictionSpec(centers=[[0.2, -0.1]], radii=[0.3], replacement=[-1.0, -1.0])
-    assert check_valid(np.array([0.2, -0.1]), spec)
-    assert check_valid(np.array([0.5, -0.1]), spec)  # distance exactly r: closed ball
+    spec = RestrictionSpec(centers=[[0.2]], radii=[0.3], replacement=[-1.0])
+    assert check_valid(np.array([0.2]), spec)
+    assert check_valid(np.array([0.5]), spec)  # distance exactly r: closed ball
+    assert not check_valid(np.array([np.nextafter(0.5, 1.0)]), spec)
 
 
-def test_check_valid_empty_sphere_list():
-    spec = RestrictionSpec(centers=np.zeros((0, 1)), radii=np.zeros(0), replacement=[-1.0])
-    assert not check_valid(np.array([0.0]), spec)
+@pytest.mark.parametrize("action", [[0.0, 0.58], [0.0, 0.0, 0.58, 0.1], [np.nan], [np.inf]],
+                         ids=["two_values", "four_values", "nan", "inf"])
+def test_check_valid_rejects_a_malformed_action(action):
+    with pytest.raises(ValueError):
+        check_valid(np.array(action), CANONICAL_RESTRICTION)
 
 
 @pytest.mark.parametrize("centers, radii, replacement", [
@@ -62,9 +65,12 @@ def test_check_valid_empty_sphere_list():
     ([[0.5, -3.0]], [0.2], [-1.0]),
     ([[0.5]], [0.2], [-1.0, 7.0]),
     (np.zeros((0, 2)), np.zeros(0), [-1.0]),
+    (np.zeros((0, 1)), np.zeros(0), [-1.0]),
+    ([[0.5, -3.0]], [0.2], [-1.0, 7.0]),
+    ([[0.0], [0.5]], [0.1], [-1.0]),
 ], ids=["zero_radius", "negative_radius", "nan_center_and_replacement", "inf_center", "nan_radius",
         "inf_radius", "nan_replacement", "inf_replacement", "short_replacement", "long_replacement",
-        "empty_short_replacement"])
+        "empty_short_replacement", "empty", "two_d", "one_radius_for_two_centers"])
 def test_restriction_rejects_bad_spec(centers, radii, replacement):
     with pytest.raises(ValueError):
         RestrictionSpec(centers=centers, radii=radii, replacement=replacement)
@@ -151,7 +157,7 @@ def test_cartpole_reset_seed_reproduces_episode():
 
 
 def test_cartpole_terminates_on_angle_and_horizon():
-    env = CartPoleEnv(horizon=20, seed=0)
+    env = CartPoleEnv(seed=0)
     env.reset(seed=0)
     done = False
     steps = 0
@@ -161,10 +167,10 @@ def test_cartpole_terminates_on_angle_and_horizon():
     assert steps < 20
 
     env.reset(seed=0)
-    for t in range(20):
-        env._state[2] = 0.0  # hold the pole upright; only the horizon can end it
+    for t in range(500):
+        env._state[2] = 0.0  # hold the pole upright; only the horizon, 500 steps, can end it
         _, _, done, _ = env.step(np.array([0.0]))
-    assert done
+        assert done == (t == 499)
 
 
 # ------------------------------------------------------------------- mining
@@ -202,7 +208,7 @@ def test_mining_wrong_tool_is_inert():
     env._pos = (1, 1)
     env._dir = RIGHT
     env._grid[2, 1] = 5
-    wrong = next(t for t, (m, _) in enumerate(env.tool_map) if m != 5)
+    wrong = next(t for t, (m, _) in enumerate(make_tool_map(50)) if m != 5)
     _, reward, _, _ = env.step(4 + wrong)
     assert reward == 0.0
     assert env._grid[2, 1] == 5
@@ -213,16 +219,17 @@ def test_mining_correct_tool_breaks_or_transforms():
     env.reset(seed=3)
     env._pos = (1, 1)
     env._dir = RIGHT
-    breaker = next(t for t, (m, o) in enumerate(env.tool_map) if o == BREAK)
-    mine_type = env.tool_map[breaker][0]
+    tool_map = make_tool_map(50)
+    breaker = next(t for t, (m, o) in enumerate(tool_map) if o == BREAK)
+    mine_type = tool_map[breaker][0]
     env._grid[2, 1] = mine_type
     _, reward, _, _ = env.step(4 + breaker)
     assert reward == pytest.approx(0.1 + 0.1)  # tool + bonus
     assert env._grid[2, 1] == -1
 
-    transformer = next((t for t, (m, o) in enumerate(env.tool_map) if o != BREAK), None)
+    transformer = next((t for t, (m, o) in enumerate(tool_map) if o != BREAK), None)
     if transformer is not None:
-        mine_type, target = env.tool_map[transformer]
+        mine_type, target = tool_map[transformer]
         env._grid[2, 1] = mine_type
         _, reward, _, _ = env.step(4 + transformer)
         assert reward == pytest.approx(0.1)
@@ -244,7 +251,7 @@ def test_mining_observation_in_unit_interval():
     env = small_mining()
     rng = np.random.default_rng(8)
     obs = env.reset(seed=8)
-    assert obs.shape == (8 + len(env.tool_map),)
+    assert obs.shape == (8 + 50,)
     for _ in range(300):
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
         obs, _, done, _ = env.step(int(rng.integers(0, len(env.action_table))))
@@ -308,17 +315,12 @@ def test_mining_action_table_single_mine_type():
 
 def test_mining_derives_one_tool_per_mine_type():
     env = MiningEnv(n_mine_types=10, seed=0)
-    assert len(env.action_table) == 14 and env.observation_dim == 18 == 8 + len(env.tool_map)
-    assert env.tool_map == make_tool_map(10)
+    assert len(env.action_table) == 14 and env.observation_dim == 18
     assert np.array_equal(env.action_table.reps, mining_action_table(make_tool_map(10)).reps)
     assert env.reset(seed=0).shape == (18,)
     env.step(13)
-    # the task is fixed at construction: no public attribute but Env's own and a read-only tool table
-    assert {k for k in vars(env) if not k.startswith("_")} == {
-        "action_table", "action_dim", "horizon", "observation_dim", "tool_map"
-    }
-    with pytest.raises(TypeError):
-        env.tool_map[0] = (0, BREAK)
+    with pytest.raises(TypeError):  # the tool table is read-only
+        make_tool_map(10)[0] = (0, BREAK)
     with pytest.raises(ValueError, match="at least one mine type"):  # before make_tool_map's own draw fails
         MiningEnv(n_mine_types=0)
 
@@ -329,14 +331,14 @@ def test_recsim_equal_scores_give_half_click_probability():
     env = RecsimEnv(n_items=20, n_categories=4, seed=0)
     env.reset(seed=0)
     env._user = np.zeros(4)  # every score is 0 = skip score
-    assert env.click_probability(3) == pytest.approx(0.5)
+    assert env._click_probability(env.action_table.reps[3]) == pytest.approx(0.5)
 
 
 def test_recsim_unit_score_click_probability():
     env = RecsimEnv(n_items=20, n_categories=4, seed=0)
     env.reset(seed=0)
     env._user = env.action_table.reps[7].copy()  # score exactly 1
-    assert env.click_probability(7) == pytest.approx(np.e / (1.0 + np.e))
+    assert env._click_probability(env.action_table.reps[7]) == pytest.approx(np.e / (1.0 + np.e))
 
 
 def test_recsim_full_affinity_update_is_toward_with_probability_one():
@@ -375,7 +377,7 @@ def test_recsim_click_rate_matches_probability():
     env = RecsimEnv(n_items=30, n_categories=5, seed=0)
     env.reset(seed=0)
     fixed_user = env._user.copy()
-    p = env.click_probability(4)
+    p = env._click_probability(env.action_table.reps[4])
     clicks = 0
     n = 100_000
     for _ in range(n):
@@ -398,15 +400,6 @@ def test_recsim_horizon_and_bad_id():
         _, _, done, _ = env.step(0)
         steps += 1
     assert steps == 20
-
-
-def test_recsim_click_probability_takes_only_ids_in_the_table():
-    env = RecsimEnv(n_items=20, n_categories=4, seed=0)
-    env.reset(seed=0)
-    for bad in (-1, 20, 2.7):
-        with pytest.raises(ValueError):
-            env.click_probability(bad)
-    assert env.click_probability(np.int64(19)) == env.click_probability(19)
 
 
 # ------------------------------------------------------------------- bandit
@@ -669,9 +662,13 @@ def test_make_env_ids():
     assert isinstance(make_env("recsim", seed=0, n_items=10, n_categories=3), RecsimEnv)
     assert isinstance(make_env("bandit", seed=0), BanditEnv)
     env = make_env("pendulum", seed=0, restriction=CANONICAL_RESTRICTION)
-    assert env.restriction is CANONICAL_RESTRICTION
-    landscape = random_landscape(np.random.default_rng(4))
-    assert make_env("bandit", seed=0, landscape=landscape).landscape is landscape
+    env.reset(seed=0)
+    assert env.step(np.array([0.0]))[3]["executed"].tolist() == [-1.0]  # the idle action is invalid
+    landscape = random_landscape(np.random.default_rng(4), dim=2)
+    env = make_env("bandit", seed=0, landscape=landscape)
+    assert np.array_equal(env.action_low, landscape.low) and np.array_equal(env.action_high, landscape.high)
+    env.reset(seed=0)
+    assert env.step(landscape.argmax)[1] == landscape.max_value
     with pytest.raises(ValueError):
         make_env("nope")
 
@@ -681,7 +678,7 @@ def test_make_env_ids():
 # factory and reset seed of each env the contract test runs
 CONTRACT_ENVS = {
     "bandit": (lambda: BanditEnv(seed=0), 5),
-    "cartpole": (lambda: CartPoleEnv(restriction=CANONICAL_RESTRICTION, horizon=30, seed=0), 4),
+    "cartpole": (lambda: CartPoleEnv(restriction=CANONICAL_RESTRICTION, seed=0), 4),
     "mining": (lambda: small_mining(), 12),
     "recsim": (lambda: RecsimEnv(n_items=25, n_categories=4, seed=0), 3),
 }
@@ -705,6 +702,10 @@ def private_state(env) -> dict:
 def test_env_contract(name):
     make, seed = CONTRACT_ENVS[name]
     env = make()
+    # the task is fixed at construction: no public attribute but Env's own
+    assert {k for k in vars(env) if not k.startswith("_")} == {
+        "action_table", "action_dim", "horizon", "observation_dim"
+    }
     before = private_state(env)
     with pytest.raises(EpisodeDoneError):  # no episode before the first reset
         env.step(0 if env.discrete else np.zeros(env.action_dim))
@@ -833,9 +834,9 @@ def test_a_failed_reset_starts_no_episode():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: CartPoleEnv(horizon=0),
-        lambda: CartPoleEnv(horizon=-1),
-        lambda: CartPoleEnv(horizon=2.5),
+        lambda: Env(0, 0, ([-1.0], [1.0]), 4),
+        lambda: Env(0, -1, ([-1.0], [1.0]), 4),
+        lambda: Env(0, 2.5, ([-1.0], [1.0]), 4),
         lambda: RecsimEnv(n_categories=0),
         lambda: MiningEnv(n_mines=-1),
         lambda: MiningEnv(n_mine_types=0),
@@ -849,7 +850,7 @@ def test_a_failed_reset_starts_no_episode():
         lambda: MiningEnv(seed=2.5),
         lambda: MiningEnv(seed=True),
     ],
-    ids=["cartpole-horizon-0", "cartpole-horizon-negative", "cartpole-horizon-float", "recsim-no-categories",
+    ids=["env-horizon-0", "env-horizon-negative", "env-horizon-float", "recsim-no-categories",
          "mining-n_mines-negative", "mining-no-mine-types", "cartpole-restriction-2d", "mining-n_mines-float",
          "mining-n_mines-bool", "mining-mine-types-numpy-float", "recsim-n_items-float", "recsim-categories-bool",
          "mining-n_mines-63", "mining-seed-float", "mining-seed-bool"],

@@ -433,11 +433,14 @@ def test_deepset_permutation_invariance_is_bitwise():
     assert np.array_equal(a, b)
 
 
-def test_deepset_empty_set_is_zero_vector():
+def test_deepset_empty_set_raises():
     ds = DeepSetSummarizer.create(3, 5, 4, np.random.default_rng(0))
-    summary = ds.summarize([])
-    assert summary.count == 0
-    assert np.array_equal(summary.vector, np.zeros(4))
+    for empty in ([], np.zeros((0, 3))):
+        with pytest.raises(ShapeError):
+            ds.summarize(empty)
+    for forward in (ds.forward_batch, ds.forward_batch_tape):
+        with pytest.raises(ShapeError):
+            forward(np.zeros((2, 0, 3)))
 
 
 def test_deepset_matches_straightline_recomputation():
@@ -448,7 +451,6 @@ def test_deepset_matches_straightline_recomputation():
     per_element = np.stack([ds.phi.forward(e) for e in elems[order]])
     expected = ds.rho.forward(per_element.mean(axis=0))
     got = ds.summarize(list(elems))
-    assert got.count == 3
     assert np.allclose(got.vector, expected, rtol=1e-13, atol=1e-13)
 
 
@@ -494,7 +496,7 @@ def test_mlp_taped_and_untaped_forward_agree_bitwise(seed):
             assert_same(net.forward(x), net.forward_tape(x)[0])
 
 
-@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("m", [1, 3])
 def test_deepset_taped_and_untaped_forward_agree_bitwise(m):
     rng = np.random.default_rng(4100 + m)
     created = DeepSetSummarizer.create(3, 5, 4, rng)
@@ -548,7 +550,7 @@ def test_float32_pass_and_update_never_widen_to_float64():
     adam_step(critic.arrays(), grads, state, lr=3e-4)
     polyak_update(target.arrays(), critic.arrays(), 0.005)
     outputs = [q, dx, summary, delems, mod, dfeat, dcond, critic.forward(rng.standard_normal(6)),
-               ds.forward_batch(np.zeros((2, 0, 2))), ds.summarize([]).vector, *gen.scale_shift(np.zeros(4))]
+               ds.summarize(np.zeros((3, 2))).vector, *gen.scale_shift(np.zeros(4))]
     for a in outputs + grads + ds_grads + film_grads + critic.arrays() + state.m + state.v + target.arrays():
         assert a.dtype == np.float32
 
@@ -785,10 +787,10 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 def test_checkpoint_shape_mismatch_raises(tmp_path):
     net = rand_mlp(np.random.default_rng(1), [3, 4, 2])
     path = tmp_path / "net.npz"
-    save_arrays(path, net.arrays())
+    save_arrays(path, net.arrays(), AdamState(net.arrays()))
     wrong = rand_mlp(np.random.default_rng(2), [3, 5, 2])
     with pytest.raises(ShapeError):
-        load_arrays(path, wrong.arrays())
+        load_arrays(path, wrong.arrays(), AdamState(wrong.arrays()))
 
 
 def _trained_net(seed, steps):
@@ -800,7 +802,7 @@ def _trained_net(seed, steps):
     return net, state
 
 
-@pytest.mark.parametrize("corrupt", ["last_array", "adam_moment", "dtype"])
+@pytest.mark.parametrize("corrupt", ["last_array", "adam_moment", "dtype", "no_optimizer_state"])
 def test_checkpoint_mismatch_changes_nothing(tmp_path, corrupt):
     net, state = _trained_net(41, steps=1)
     path = tmp_path / "net.npz"
@@ -808,7 +810,9 @@ def test_checkpoint_mismatch_changes_nothing(tmp_path, corrupt):
     with np.load(path) as data:
         payload = dict(data)
     key = "v0" if corrupt == "adam_moment" else f"p{len(net.arrays()) - 1}"
-    if corrupt == "dtype":  # a float64 checkpoint of the same shapes is not rounded into float32 arrays
+    if corrupt == "no_optimizer_state":  # a checkpoint comes from outside: it may lack the step
+        del payload["step"]
+    elif corrupt == "dtype":  # a float64 checkpoint of the same shapes is not rounded into float32 arrays
         payload[key] = payload[key].astype(np.float64)
     else:
         payload[key] = np.zeros(payload[key].size + 1)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import savo.analysis.mdp
 import savo.envs
 import savo.nn
 
@@ -50,5 +51,48 @@ def test_settable_values_stay_pinned():
     assert params(savo.envs.RecsimEnv.__init__) == ["self", "n_items", "n_categories", "seed"]
     assert params(savo.envs.make_tool_map) == ["n_types"]
     assert params(savo.envs.recsim_action_table) == ["n_items", "n_categories"]
+    assert params(savo.envs.CartPoleEnv.__init__) == ["self", "restriction", "seed"]
+    assert params(savo.envs.random_landscape) == ["rng", "dim"]
+    assert params(savo.analysis.mdp.value_iteration) == ["mdp"]
     assert params(savo.nn.adam_step) == ["arrays", "grads", "state", "lr"]
     assert params(savo.nn.FilmGenerator.backward) == ["self", "tape", "dout"]
+    for fn in (savo.nn.save_arrays, savo.nn.load_arrays):
+        assert params(fn) == ["path", "arrays", "adam"]
+        assert inspect.signature(fn).parameters["adam"].default is inspect.Parameter.empty
+
+
+def test_public_names_stay_pinned():
+    """A public name that grows back means editing this."""
+    assert sorted(savo.nn.__all__) == [
+        "AdamState",
+        "DeepSetSummarizer",
+        "DenseLayer",
+        "FilmGenerator",
+        "Mlp",
+        "NonFiniteGradientError",
+        "SetSummary",
+        "ShapeError",
+        "adam_step",
+        "load_arrays",
+        "polyak_update",
+        "save_arrays",
+        "xavier_uniform",
+    ]
+    assert sorted(savo.envs.__all__) == [
+        "BanditEnv",
+        "BanditLandscape",
+        "CANONICAL_RESTRICTION",
+        "CartPoleEnv",
+        "Env",
+        "EpisodeDoneError",
+        "MiningEnv",
+        "RecsimEnv",
+        "RestrictionSpec",
+        "canonical_adversarial",
+        "check_valid",
+        "make_env",
+        "make_tool_map",
+        "mining_action_table",
+        "random_landscape",
+        "recsim_action_table",
+    ]
