@@ -26,41 +26,24 @@ One kernel, ``_rank_rows``, does every lookup in two passes:
    in the first k therefore survives the screen (the argument is at
    ``_margin``), and the re-rank orders the survivors as the scan would.
 
-An action id is its row: ``nearest``, ``knn`` and ``nearest_rows`` all
-return rows of ``reps``, and ``checked_id`` is the one check of an id.
+``knn_rows`` is the one call that checks queries and k. ``knn`` and
+``nearest_rows`` are views of it, and ``nearest`` is ``knn`` at k=1. An
+action id is its row, and ``checked_id`` is the one check of an id.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .checks import checked_int, frozen_copy
 
+__all__ = ["ActionTable", "ActionTableError", "checked_id", "knn", "knn_rows", "nearest", "nearest_rows"]
+
 
 class ActionTableError(ValueError):
     pass
-
-
-class _Index(NamedTuple):
-    """Read-only screen data cached at table construction."""
-
-    centre: np.ndarray  # (D,) mean of the reps
-    screen_matrix: np.ndarray  # (D + 1, N): column i is [-2 c_i, |c_i|^2], c_i = rep_i - centre
-    max_norm: float  # largest |c_i|
-
-
-def _build_index(reps: np.ndarray) -> _Index:
-    centre = reps.mean(axis=0)
-    centred = reps - centre
-    sq_norms = np.einsum("nd,nd->n", centred, centred)
-    screen_matrix = np.vstack([-2.0 * centred.T, sq_norms])
-    centre.setflags(write=False)
-    screen_matrix.setflags(write=False)
-    return _Index(centre, screen_matrix, float(np.sqrt(sq_norms.max())))
 
 
 def checked_id(action_id, n: int) -> int:
@@ -72,36 +55,42 @@ def checked_id(action_id, n: int) -> int:
     return action_id
 
 
-@dataclass
 class ActionTable:
-    """Immutable table of N distinct, finite representations; action id i is row i."""
+    """Immutable table of N distinct, finite representations; action id i is row i.
+    ``reps`` is read-only, so the screen index cached beside it cannot go stale."""
 
-    reps: np.ndarray  # (N, D)
-
-    def __post_init__(self):
-        self.reps = frozen_copy(self.reps)
-        if self.reps.ndim != 2 or self.reps.shape[0] < 1:
+    def __init__(self, reps):
+        reps = frozen_copy(reps)
+        if reps.ndim != 2 or reps.shape[0] < 1:
             raise ActionTableError("representation matrix must be (N >= 1, D)")
-        if not np.all(np.isfinite(self.reps)):
+        if not np.all(np.isfinite(reps)):
             raise ActionTableError("representations must be finite")
-        uniq = np.unique(self.reps, axis=0)
-        if uniq.shape[0] != self.reps.shape[0]:
+        if np.unique(reps, axis=0).shape[0] != reps.shape[0]:
             raise ActionTableError("duplicate representation rows make nearest() ambiguous")
-        self._index = _build_index(self.reps)
+        self._reps = reps
+        self._centre = reps.mean(axis=0)
+        centred = reps - self._centre
+        sq_norms = np.einsum("nd,nd->n", centred, centred)
+        self._screen_matrix = np.vstack([-2.0 * centred.T, sq_norms])
+        self._centre.setflags(write=False)
+        self._screen_matrix.setflags(write=False)
+        self._max_norm = float(np.sqrt(sq_norms.max()))
+
+    reps = property(lambda self: self._reps)  # (N, D), read-only
 
     def __len__(self) -> int:
-        return self.reps.shape[0]
+        return self._reps.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.reps.shape[1]
+        return self._reps.shape[1]
 
     @property
     def ids(self) -> range:
         return range(len(self))
 
     def rep_of(self, action_id: int) -> np.ndarray:
-        return self.reps[checked_id(action_id, len(self))]
+        return self._reps[checked_id(action_id, len(self))]
 
 
 _EPS = np.finfo(np.float64).eps
@@ -152,14 +141,13 @@ def _rank_rows(queries: np.ndarray, table: ActionTable, k: int) -> np.ndarray:
     Products that overflow give inf or nan, which the shortlist keeps (see
     ``_margin``), so numpy's overflow and invalid-value warnings are silenced.
     """
-    centre, screen_matrix, max_norm = table._index
     lifted = np.empty((len(queries), table.dim + 1))
     lifted[:, -1] = 1.0
-    q = np.subtract(queries, centre, out=lifted[:, :-1])
-    screen = lifted @ screen_matrix
+    q = np.subtract(queries, table._centre, out=lifted[:, :-1])
+    screen = lifted @ table._screen_matrix
     kth = screen.min(axis=1) if k == 1 else np.partition(screen, k - 1, axis=1)[:, k - 1]
     # vdot sums |q|^2 over the batch, a bound on the largest |q|^2 in one call.
-    reach = max_norm + math.sqrt(np.vdot(q, q))
+    reach = table._max_norm + math.sqrt(np.vdot(q, q))
     # `~(>)` rather than `<=`, so that nan screen values stay on the shortlist.
     listed = (~(screen > (kth + _margin(table.dim, reach))[:, None])).ravel().nonzero()[0]
     rows, cols = np.divmod(listed, len(table))
@@ -170,34 +158,34 @@ def _rank_rows(queries: np.ndarray, table: ActionTable, k: int) -> np.ndarray:
     return cols.take(order.take(starts[:, None] + np.arange(k)))
 
 
-def _checked_queries(queries, table: ActionTable, batch: bool) -> np.ndarray:
-    """Queries as a finite (B, D) float64 array; one query is (1, D)."""
+def knn_rows(queries, table: ActionTable, k: int) -> np.ndarray:
+    """(B, k) ids, that is rows, of each query's k nearest representations,
+    by ascending distance, then by row. A (D,) query is a batch of one."""
     q = np.asarray(queries, dtype=np.float64)
-    ok_ndim = q.ndim in (1, 2) if batch else q.ndim == 1
-    if not ok_ndim or q.shape[-1] != table.dim:
-        want = "(B, D) or (D,)" if batch else "(D,)"
-        raise ActionTableError(f"queries must be {want} with D={table.dim}, got shape {q.shape}")
+    if q.ndim not in (1, 2) or q.shape[-1] != table.dim:
+        raise ActionTableError(f"queries must be (B, D) or (D,) with D={table.dim}, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ActionTableError("queries must be finite")
-    return q.reshape(-1, table.dim)
+    k = checked_int(k, "k", ActionTableError)
+    if not 1 <= k <= len(table):
+        raise ActionTableError(f"k must be in [1, {len(table)}], got {k}")
+    return _rank_rows(q.reshape(-1, table.dim), table, k)
 
 
 def nearest(a: np.ndarray, table: ActionTable) -> int:
     """Id of the closest row in Euclidean distance; ties go to the lowest index."""
-    return int(_rank_rows(_checked_queries(a, table, batch=False), table, 1)[0, 0])
+    return knn(a, table, 1)[0]
 
 
 def knn(a: np.ndarray, table: ActionTable, k: int) -> list[int]:
-    """k distinct ids sorted by ascending distance, then by index."""
-    k = checked_int(k, "k", ActionTableError)
-    if not 1 <= k <= len(table):
-        raise ActionTableError(f"k must be in [1, {len(table)}], got {k}")
-    return _rank_rows(_checked_queries(a, table, batch=False), table, k)[0].tolist()
+    """k distinct ids sorted by ascending distance, then by index. The query is
+    one (D,) vector, not a batch."""
+    if np.ndim(a) != 1:
+        raise ActionTableError(f"a query must be (D,), got shape {np.shape(a)}")
+    return knn_rows(a, table, k)[0].tolist()
 
 
 def nearest_rows(queries: np.ndarray, table: ActionTable) -> np.ndarray:
-    """(B,) ids, that is rows, of the nearest representation for a batch of
-    queries. Ties go to the lowest row, as in ``nearest``; a single (D,) query
-    is a batch of one."""
-    return _rank_rows(_checked_queries(queries, table, batch=True), table, 1)[:, 0]
-
+    """(B,) ids, that is rows, of each query's nearest representation. Ties go
+    to the lowest row, as in ``nearest``; a (D,) query is a batch of one."""
+    return knn_rows(queries, table, 1)[:, 0]

@@ -32,32 +32,37 @@ class Env:
     ``ValueError`` before any state changes. ``done`` is ``terminal or
     _t >= horizon``; a step after it, or before a ``reset`` has returned,
     raises ``EpisodeDoneError``. A ``seed`` that is not an integer raises
-    ``ValueError`` before any state changes.
+    ``ValueError`` before any state changes. The task is fixed at
+    construction: the horizon and both spaces are read-only properties.
     """
 
     def __init__(self, seed: int, horizon: int, actions: ActionTable | tuple, observation_dim: int):
         if checked_int(horizon, "horizon") < 1:
             raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
         if isinstance(actions, ActionTable):
-            self.action_table, self.action_dim = actions, actions.dim
+            self._action_table, self._action_dim = actions, actions.dim
             self._low = self._high = None
         else:
             low, high = (frozen_copy(bound) for bound in actions)
             if low.ndim != 1 or not low.size or high.shape != low.shape or not (low < high).all():
                 raise ValueError(f"the action box must be vectors low < high of one length, got {actions!r}")
-            self.action_table, self.action_dim = None, len(low)
+            self._action_table, self._action_dim = None, len(low)
             self._low, self._high = low, high
-        self.horizon = int(horizon)
-        self.observation_dim = checked_int(observation_dim, "observation_dim")
+        self._horizon = int(horizon)
+        self._observation_dim = checked_int(observation_dim, "observation_dim")
         self._rng = np.random.default_rng(checked_int(seed, "seed"))
         self._t = 0
         self._done = True  # no episode runs until the first reset
 
     @property
     def discrete(self) -> bool:
-        return self.action_table is not None
+        return self._action_table is not None
 
-    # the box's bounds, read-only; None for a discrete env
+    horizon = property(lambda self: self._horizon)
+    observation_dim = property(lambda self: self._observation_dim)
+    action_dim = property(lambda self: self._action_dim)
+    action_table = property(lambda self: self._action_table)  # None for a continuous env
+    # the box's bounds; None for a discrete env
     action_low = property(lambda self: self._low)
     action_high = property(lambda self: self._high)
 
@@ -72,16 +77,16 @@ class Env:
     def step(self, action):
         if self._done:
             raise EpisodeDoneError("no episode is running: call reset() before step()")
-        if self.action_table is not None:
-            action = checked_id(action, len(self.action_table))
+        if self._action_table is not None:
+            action = checked_id(action, len(self._action_table))
         else:
             a = np.asarray(action, dtype=np.float64)
-            if a.shape != (self.action_dim,) or not all(map(math.isfinite, a.tolist())):
-                raise ValueError(f"action must be a finite vector of shape ({self.action_dim},), got {action!r}")
+            if a.shape != (self._action_dim,) or not all(map(math.isfinite, a.tolist())):
+                raise ValueError(f"action must be a finite vector of shape ({self._action_dim},), got {action!r}")
             action = np.clip(a, self._low, self._high)
         self._t += 1
         obs, reward, terminal, info = self._step(action)
-        self._done = done = bool(terminal) or self._t >= self.horizon
+        self._done = done = bool(terminal) or self._t >= self._horizon
         return obs, reward, done, info
 
     def _reset(self) -> np.ndarray:

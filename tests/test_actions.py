@@ -7,6 +7,7 @@ from savo.actions import (
     ActionTable,
     ActionTableError,
     knn,
+    knn_rows,
     nearest,
     nearest_rows,
 )
@@ -21,10 +22,13 @@ def scan(q, reps):
 
 
 def assert_matches_scan(t, queries, k):
-    """knn, nearest and nearest_rows all agree with the brute-force scan."""
+    """knn_rows, knn, nearest and nearest_rows all agree with the brute-force scan."""
     rows = nearest_rows(queries, t)
-    for q, row in zip(queries, rows):
+    batch = knn_rows(queries, t, k)
+    assert batch.shape == (len(queries), k)
+    for q, row, ids in zip(queries, rows, batch):
         order = scan(q, t.reps)
+        assert ids.tolist() == order[:k]
         assert knn(q, t, k) == order[:k]
         assert nearest(q, t) == order[0]
         assert row == order[0]
@@ -59,13 +63,15 @@ def test_knn_k1_equals_nearest():
 
 def test_knn_full_returns_all_sorted():
     assert knn(np.array([0.9]), line_table(), 3) == [2, 1, 0]
+    assert knn_rows(np.array([0.9]), line_table(), 3).tolist() == [[2, 1, 0]]
 
 
 def test_knn_rejects_k_out_of_range():
-    with pytest.raises(ActionTableError):
-        knn(np.array([0.0]), line_table(), 4)
-    with pytest.raises(ActionTableError):
-        knn(np.array([0.0]), line_table(), 0)
+    for k in (4, 0, -1):
+        with pytest.raises(ActionTableError):
+            knn(np.array([0.0]), line_table(), k)
+        with pytest.raises(ActionTableError):
+            knn_rows(np.array([[0.0], [0.5]]), line_table(), k)
 
 
 def test_knn_matches_bruteforce_sort():
@@ -119,6 +125,8 @@ def test_non_finite_query_raises(bad):
         knn(np.array([bad]), t, 2)
     with pytest.raises(ActionTableError):
         nearest_rows(np.array([[0.1], [bad]]), t)
+    with pytest.raises(ActionTableError):
+        knn_rows(np.array([[0.1], [bad]]), t, 2)
 
 
 def test_query_of_wrong_width_or_ndim_raises():
@@ -131,13 +139,18 @@ def test_query_of_wrong_width_or_ndim_raises():
     for bad in (np.zeros((4, 2)), np.zeros((2, 4, 3)), np.float64(0.0)):
         with pytest.raises(ActionTableError):
             nearest_rows(bad, t)
+        with pytest.raises(ActionTableError):
+            knn_rows(bad, t, 2)
     assert nearest_rows(np.zeros((0, 3)), t).shape == (0,)
+    assert knn_rows(np.zeros((0, 3)), t, 2).shape == (0, 2)
 
 
 @pytest.mark.parametrize("k", [True, False, 2.5, 2.0, "2", None])
 def test_knn_rejects_non_integer_k(k):
     with pytest.raises(ActionTableError):
         knn(np.array([0.3]), line_table(), k)
+    with pytest.raises(ActionTableError):
+        knn_rows(np.array([[0.3]]), line_table(), k)
 
 
 def test_knn_accepts_numpy_integer_k():
@@ -223,9 +236,7 @@ def test_exact_on_recsim_table_at_workload_shape():
 
 def test_cached_index_is_read_only():
     t = ActionTable(reps=np.random.default_rng(4).standard_normal((50, 3)))
-    arrays = [v for v in t._index if isinstance(v, np.ndarray)]
-    assert arrays
-    for a in arrays:
+    for a in (t.reps, t._centre, t._screen_matrix):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
@@ -253,6 +264,8 @@ def test_table_is_immutable_and_ids_are_rows():
     assert t.ids == range(len(t))
     with pytest.raises(AttributeError):
         t.ids = range(5)
+    with pytest.raises(AttributeError):  # the cached screen index would go stale
+        t.reps = np.array([[0.0], [0.5]])
     assert np.array_equal(t.rep_of(1), [0.5])
     with pytest.raises(TypeError):  # the table takes no labels of its own
         ActionTable(reps=reps, ids=[10, 20, 30])

@@ -702,10 +702,12 @@ def private_state(env) -> dict:
 def test_env_contract(name):
     make, seed = CONTRACT_ENVS[name]
     env = make()
-    # the task is fixed at construction: no public attribute but Env's own
-    assert {k for k in vars(env) if not k.startswith("_")} == {
-        "action_table", "action_dim", "horizon", "observation_dim"
-    }
+    # the task is fixed at construction: no public attribute, and Env's
+    # read-only properties cannot be rebound past its checks
+    assert {k for k in vars(env) if not k.startswith("_")} == set()
+    for attr in ("horizon", "observation_dim", "action_dim", "action_table", "action_low", "action_high"):
+        with pytest.raises(AttributeError):
+            setattr(env, attr, getattr(env, attr))
     before = private_state(env)
     with pytest.raises(EpisodeDoneError):  # no episode before the first reset
         env.step(0 if env.discrete else np.zeros(env.action_dim))
@@ -759,7 +761,9 @@ def test_env_contract(name):
 def test_envs_keep_only_their_dynamics():
     envs = Env.__subclasses__()
     assert set(envs) == {BanditEnv, CartPoleEnv, MiningEnv, RecsimEnv}
-    owned_by_env = {"step", "reset", "action_low", "action_high", "action_dim", "action_table", "observation_dim"}
+    owned_by_env = {
+        "step", "reset", "action_low", "action_high", "action_dim", "action_table", "observation_dim", "horizon"
+    }
     for cls in envs:
         assert not owned_by_env & set(vars(cls)), cls.__name__
 

@@ -793,6 +793,15 @@ def test_checkpoint_shape_mismatch_raises(tmp_path):
         load_arrays(path, wrong.arrays(), AdamState(wrong.arrays()))
 
 
+def test_checkpoint_save_needs_one_moment_pair_per_array(tmp_path):
+    net = rand_mlp(np.random.default_rng(3), [3, 4, 2])
+    smaller = rand_mlp(np.random.default_rng(4), [3, 2])
+    path = tmp_path / "net.npz"
+    with pytest.raises(ShapeError):
+        save_arrays(path, net.arrays(), AdamState(smaller.arrays()))
+    assert not path.exists()
+
+
 def _trained_net(seed, steps):
     rng = np.random.default_rng(seed)
     net = rand_mlp(rng, [3, 7, 2])
@@ -802,7 +811,10 @@ def _trained_net(seed, steps):
     return net, state
 
 
-@pytest.mark.parametrize("corrupt", ["last_array", "adam_moment", "dtype", "no_optimizer_state"])
+@pytest.mark.parametrize(
+    "corrupt",
+    ["last_array", "adam_moment", "dtype", "no_optimizer_state", "missing_moment", "missing_array", "missing_count"],
+)
 def test_checkpoint_mismatch_changes_nothing(tmp_path, corrupt):
     net, state = _trained_net(41, steps=1)
     path = tmp_path / "net.npz"
@@ -812,6 +824,8 @@ def test_checkpoint_mismatch_changes_nothing(tmp_path, corrupt):
     key = "v0" if corrupt == "adam_moment" else f"p{len(net.arrays()) - 1}"
     if corrupt == "no_optimizer_state":  # a checkpoint comes from outside: it may lack the step
         del payload["step"]
+    elif corrupt.startswith("missing"):  # ... or any array, moment or header entry
+        del payload[{"missing_moment": "m1", "missing_array": key, "missing_count": "count"}[corrupt]]
     elif corrupt == "dtype":  # a float64 checkpoint of the same shapes is not rounded into float32 arrays
         payload[key] = payload[key].astype(np.float64)
     else:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import savo.actions
 import savo.analysis.mdp
 import savo.envs
 import savo.nn
@@ -12,7 +13,7 @@ import savo.nn
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-@pytest.mark.parametrize("module", [savo.nn, savo.envs])
+@pytest.mark.parametrize("module", [savo.nn, savo.envs, savo.actions])
 def test_every_public_name_resolves(module):
     for name in module.__all__:
         assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
@@ -54,6 +55,7 @@ def test_settable_values_stay_pinned():
     assert params(savo.envs.CartPoleEnv.__init__) == ["self", "restriction", "seed"]
     assert params(savo.envs.random_landscape) == ["rng", "dim"]
     assert params(savo.analysis.mdp.value_iteration) == ["mdp"]
+    assert params(savo.actions.knn_rows) == ["queries", "table", "k"]
     assert params(savo.nn.adam_step) == ["arrays", "grads", "state", "lr"]
     assert params(savo.nn.FilmGenerator.backward) == ["self", "tape", "dout"]
     for fn in (savo.nn.save_arrays, savo.nn.load_arrays):
@@ -77,6 +79,15 @@ def test_public_names_stay_pinned():
         "polyak_update",
         "save_arrays",
         "xavier_uniform",
+    ]
+    assert sorted(savo.actions.__all__) == [
+        "ActionTable",
+        "ActionTableError",
+        "checked_id",
+        "knn",
+        "knn_rows",
+        "nearest",
+        "nearest_rows",
     ]
     assert sorted(savo.envs.__all__) == [
         "BanditEnv",
